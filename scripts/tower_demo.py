@@ -13,7 +13,7 @@ deterministic for a given configuration.
 import argparse
 import dataclasses
 
-from ramforge import GF, ramification_report, wild_belyi
+from ramforge import GF, wild_belyi
 from ramforge.funcfield import parse_place
 
 
@@ -44,9 +44,9 @@ def run(cfg):
     label = ", ".join(sorted(s for s in cfg.places if s))
     print(f"tower over GF({field.q}) for S = {{{label}}}")
     print(f"kind: {chain.kind}, composite degree {chain.composite.degree}")
-    for i, step in enumerate(chain.steps, 1):
+    for i, (step, rep) in enumerate(zip(chain.steps, chain.step_reports), 1):
         print(f"\nstep {i}:")
-        show_report(ramification_report(step), step.var_up, step.var_down)
+        show_report(rep, step.var_up, step.var_down)
     print("\ncomposite:")
     show_report(chain.report, chain.composite.var_up, chain.composite.var_down)
     print("\ncertificate:")

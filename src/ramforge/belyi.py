@@ -16,11 +16,12 @@ composite by the ramification engine; a mismatch raises InternalCheckError.
 """
 
 import dataclasses
+import functools
 import math
 import os
 
 from . import polyring
-from .config import DEFAULT_LIMITS, MAX_DEGREE_ENV
+from .config import MAX_COVER_DEGREE, MAX_DEGREE_ENV
 from .cover import (
     RationalCover,
     compose,
@@ -31,7 +32,7 @@ from .cover import (
     report_as_dict,
 )
 from .errors import InternalCheckError, PreconditionError, SizeBoundError
-from .funcfield import Place
+from .funcfield import Place, RationalFunction
 from .polyring import Polynomial
 
 
@@ -45,6 +46,7 @@ class CertCheck:
 @dataclasses.dataclass(frozen=True)
 class BelyiChain:
     steps: tuple  # of RationalCover
+    step_reports: tuple  # of RamificationReport, one per step
     composite: RationalCover
     kind: str  # "wild" | "tame"
     report: object  # RamificationReport of the composite
@@ -54,7 +56,7 @@ class BelyiChain:
 def _max_degree():
     raw = os.environ.get(MAX_DEGREE_ENV)
     if raw is None:
-        return DEFAULT_LIMITS.max_cover_degree
+        return MAX_COVER_DEGREE
     try:
         return int(raw)
     except ValueError:
@@ -90,9 +92,7 @@ def lemma_main_map(field, S, var_up="x", var_down="t"):
             )
         if P.field != field:
             raise PreconditionError("place over the wrong field")
-    r = 1
-    for P in S:
-        r = math.lcm(r, P.degree)
+    r = math.lcm(*(P.degree for P in S))
     n = field.q**r - 1
     cap = _max_degree()
     if n > cap:
@@ -115,14 +115,15 @@ def lemma_main_map(field, S, var_up="x", var_down="t"):
         for P in S:
             if fib0.get(P) != 1:
                 raise InternalCheckError(f"{P.text(var_up)} ramifies over 0")
-        fib1 = fiber(cov, t1)
+        fibs = dict(rep.fibers)
         if not any(
-            pl == zero_place and e == n and f == 1 for pl, e, f in fib1
+            pt.above == zero_place and pt.e == n and pt.f == 1
+            for pt in fibs.get(t1, ())
         ):
             raise InternalCheckError("(x=0) not totally ramified over 1")
-        fibinf = fiber(cov, tinf)
         if not any(
-            pl.is_infinite and e == n and f == 1 for pl, e, f in fibinf
+            pt.above.is_infinite and pt.e == n and pt.f == 1
+            for pt in fibs.get(tinf, ())
         ):
             raise InternalCheckError("(x=inf) not totally ramified over inf")
         allowed = {t1, tinf}
@@ -140,10 +141,12 @@ def lemma_main_map(field, S, var_up="x", var_down="t"):
 # the wild step
 
 
+@functools.lru_cache(maxsize=None)
 def _f_beta_sweep(field, search_cap=512):
     """Verify separability of T^(p+1) - beta*T + 1 over small extensions.
 
-    Sweeps every beta in F_{q^j} for all j with q^j <= search_cap.
+    Sweeps every beta in F_{q^j} for all j with q^j <= search_cap.  The
+    result depends on the field only, so each field is swept once.
     """
     from .galois import GF
 
@@ -167,10 +170,10 @@ def _f_beta_sweep(field, search_cap=512):
 def wild_step(field, shift, var_up="t", var_down="u"):
     """The degree-(p+1) cover v = ((s - shift)^(p+1) + 1)/(s - shift).
 
-    Its one branch place is (v=infinity), with fiber {(s=shift): e=1,
-    (s=infinity): e=p, d=2p}; this is recomputed and enforced, and the
-    auxiliary family T^(p+1) - beta*T + 1 is checked separable over the
-    small search fields.
+    Returns (cover, report).  Its one branch place is (v=infinity), with
+    fiber {(s=shift): e=1, (s=infinity): e=p, d=2p}; this is read off the
+    computed report and enforced, and the auxiliary family
+    T^(p+1) - beta*T + 1 is checked separable over the small search fields.
     """
     p = field.p
     c = field.element(shift)
@@ -195,7 +198,7 @@ def wild_step(field, shift, var_up="t", var_down="u"):
             f"expected ({p}, {2 * p})"
         )
     _f_beta_sweep(field)
-    return cov
+    return cov, rep
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +227,28 @@ def _compose_all(steps):
     return comp
 
 
-def _verify_chain_multiplicativity(steps, composite, report, specials):
+def _substitute_all(steps):
+    """The composite map by Horner substitution of each step into the next.
+
+    An independent route to the map `_compose_all` builds by homogenizing.
+    """
+
+    def horner(poly, r):
+        acc = RationalFunction.constant(r.field, 0)
+        for c in reversed(poly.coeffs):
+            acc = acc * r + c
+        return acc
+
+    cur = steps[0].map
+    for step in steps[1:]:
+        cur = horner(step.num, cur) / horner(step.den, cur)
+    return cur
+
+
+def _verify_chain_multiplicativity(composite, report, landings):
     details = []
     fibs = {Q: {pt.above: pt for pt in pts} for Q, pts in report.fibers}
-    for P in specials:
-        Q, e_chain = _chain_pushforward(steps, P)
+    for P, Q, e_chain in landings:
         pt = fibs.get(Q, {}).get(P)
         e_comp = pt.e if pt is not None else None
         if e_comp is None:
@@ -259,36 +279,25 @@ def wild_belyi(field, S, var_up="x"):
     never assumed.
     """
     two = field.element(1) + field.element(1)
+    pairs = []
+    specials = [Place(field, Polynomial.x(field)), Place.infinite(field)]
+    expected_degree = (field.p + 1) ** 2
     if S:
-        head, _ = lemma_main_map(field, S, var_up=var_up, var_down="t")
-        steps = [
-            head,
-            wild_step(field, 0, var_up="t", var_down="u"),
-            wild_step(field, two, var_up="u", var_down="y"),
-        ]
-        specials = list(S) + [
-            Place(field, Polynomial.x(field)),
-            Place.infinite(field),
-        ]
-        expected_degree = (field.q ** _lcm_degree(S) - 1) * (field.p + 1) ** 2
-    else:
-        steps = [
-            wild_step(field, 0, var_up="t", var_down="u"),
-            wild_step(field, two, var_up="u", var_down="y"),
-        ]
-        specials = [
-            Place(field, Polynomial.x(field)),
-            Place.infinite(field),
-        ]
-        expected_degree = (field.p + 1) ** 2
+        pairs.append(lemma_main_map(field, S, var_up=var_up, var_down="t"))
+        specials = list(S) + specials
+        expected_degree *= field.q ** math.lcm(*(P.degree for P in S)) - 1
+    pairs.append(wild_step(field, 0, var_up="t", var_down="u"))
+    pairs.append(wild_step(field, two, var_up="u", var_down="y"))
+    steps = [cov for cov, _ in pairs]
     composite = _compose_all(steps)
     report = ramification_report(composite)
     yinf = Place.infinite(field)
+    landings = [(P, *_chain_pushforward(steps, P)) for P in specials]
 
     cert = []
     cert.append(
         _require(
-            _compose_all(steps) == composite,
+            _substitute_all(steps) == composite.map,
             "composite_equals_steps",
             f"{len(steps)} steps compose to degree {composite.degree}",
         )
@@ -316,8 +325,7 @@ def wild_belyi(field, S, var_up="x"):
         )
     )
     sp_details = []
-    for P in specials:
-        Q, _ = _chain_pushforward(steps, P)
+    for P, Q, _ in landings:
         if Q != yinf:
             raise InternalCheckError(
                 f"special place {P.text()} lands at {Q.text('y')}, not (y=inf)"
@@ -330,7 +338,7 @@ def wild_belyi(field, S, var_up="x"):
             detail="all of " + ", ".join(sp_details) + " -> (y=inf)",
         )
     )
-    mult_detail = _verify_chain_multiplicativity(steps, composite, report, specials)
+    mult_detail = _verify_chain_multiplicativity(composite, report, landings)
     cert.append(
         CertCheck(name="chain_e_multiplicative", ok=True, detail=mult_detail)
     )
@@ -343,18 +351,12 @@ def wild_belyi(field, S, var_up="x"):
     )
     return BelyiChain(
         steps=tuple(steps),
+        step_reports=tuple(rep for _, rep in pairs),
         composite=composite,
         kind="wild",
         report=report,
         certificate=tuple(cert),
     )
-
-
-def _lcm_degree(S):
-    r = 1
-    for P in S:
-        r = math.lcm(r, P.degree)
-    return r
 
 
 def tame_belyi_genus0(field, S, var_up="x"):
@@ -395,6 +397,7 @@ def tame_belyi_genus0(field, S, var_up="x"):
         )
     return BelyiChain(
         steps=(cov,),
+        step_reports=(rep,),
         composite=cov,
         kind="tame",
         report=rep,
@@ -404,7 +407,7 @@ def tame_belyi_genus0(field, S, var_up="x"):
 
 def chain_as_dict(chain):
     return {
-        "steps": [report_as_dict(ramification_report(s)) for s in chain.steps],
+        "steps": [report_as_dict(r) for r in chain.step_reports],
         "composite": report_as_dict(chain.report),
         "kind": chain.kind,
         "certificate": [

@@ -23,7 +23,7 @@ from .cover import (
     ramification_report,
     report_as_dict,
 )
-from .errors import RamforgeError
+from .errors import InternalCheckError, RamforgeError
 from .funcfield import (
     Place,
     laurent_expand,
@@ -96,10 +96,10 @@ def _chain_text(chain):
         f"degree: {chain.composite.degree}",
         f"steps: {len(chain.steps)}",
     ]
-    for i, step in enumerate(chain.steps, 1):
+    for i, report in enumerate(chain.step_reports, 1):
         parts.append("")
         parts.append(f"step {i}:")
-        parts.append(_report_text(ramification_report(step)))
+        parts.append(_report_text(report))
     parts.append("")
     parts.append("composite:")
     parts.append(_report_text(chain.report))
@@ -440,6 +440,10 @@ def _build_parser():
     return parser
 
 
+def _canonical_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -447,9 +451,11 @@ def main(argv=None):
         obj, text = _HANDLERS[args.verb](args)
     except RamforgeError as exc:
         print(f"ramforge: error: {exc}", file=sys.stderr)
+        if isinstance(exc, InternalCheckError) and exc.payload is not None:
+            print(_canonical_json(exc.payload), file=sys.stderr)
         return exc.exit_code
     if args.format == "json":
-        out = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        out = _canonical_json(obj)
     else:
         out = text
     sys.stdout.write(out + "\n")

@@ -16,8 +16,7 @@ import dataclasses
 
 from . import polyring
 from .errors import InternalCheckError, PreconditionError
-from .funcfield import Divisor, Place, RationalFunction, divisor_of
-from .galois import FieldElement
+from .funcfield import Divisor, Place, RationalFunction, valuation
 from .linalg import RelationTracker
 from .polyring import Polynomial
 
@@ -204,43 +203,42 @@ class RamificationReport:
     checks: dict
 
 
-def _different_divisor(cover):
-    """Diff = div(dt/dx) + (dx) + 2 * Conorm(pole divisor of t)."""
+def _different_divisor(cover, inf_pts):
+    """Diff = div(dt/dx) + (dx) + 2 * Conorm(pole divisor of t).
+
+    inf_pts is the fiber over (t=infinity).  The poles of dt/dx lie among
+    its places, so only the numerator of dt/dx is factored here.
+    """
     K = cover.field
     tp = cover.map.derivative()
-    inf = Place.infinite(K)
-    diff = divisor_of(tp) + Divisor(K, [(inf, -2)])
-    con = Divisor(
-        K, [(P, e) for P, e, _ in fiber(cover, Place.infinite(K))]
-    )
-    return diff + 2 * con
+    items = [(Place(K, pl), e) for pl, e in polyring.factor(tp.num).factors]
+    for P, e, _ in inf_pts:
+        if P.is_infinite:
+            v = valuation(tp, P) - 2
+        else:
+            v = -valuation(RationalFunction(tp.den), P)
+        items.append((P, v + 2 * e))
+    return Divisor(K, items)
 
 
 def ramification_report(cover):
-    """Full fiber-by-fiber analysis with every structural identity checked."""
+    """Full fiber-by-fiber analysis with every structural identity checked.
+
+    The fibers listed are those over (t=infinity) and under the support of
+    the different, which holds every ramified point.
+    """
     K = cover.field
     n = cover.degree
-    diff = _different_divisor(cover)
+    inf = Place.infinite(K)
+    inf_pts = fiber(cover, inf)
+    diff = _different_divisor(cover, inf_pts)
 
     if not (diff.is_zero() or diff.is_effective()):
         raise InternalCheckError(
             f"different divisor not effective: {diff.to_text(cover.var_up)}"
         )
 
-    below = {}
-    tp_num = cover.map.derivative().num
-    candidates = [Place(K, pl) for pl, _ in polyring.factor(tp_num).factors]
-    if cover.map.den.degree > 0:
-        candidates += [
-            Place(K, pl) for pl, _ in polyring.factor(cover.map.den).factors
-        ]
-    candidates.append(Place.infinite(K))
-    for P in candidates:
-        Q = pushforward_place(cover, P)
-        below[Q] = None
-    for P, _ in diff.items():
-        Q = pushforward_place(cover, P)
-        below[Q] = None
+    below = {inf} | {pushforward_place(cover, P) for P in diff.support()}
 
     fibers = []
     for Q in sorted(below, key=Place.sort_key):
@@ -253,7 +251,7 @@ def ramification_report(cover):
                 d=diff.coefficient(P),
                 wild=e % K.p == 0,
             )
-            for P, e, f in fiber(cover, Q)
+            for P, e, f in (inf_pts if Q == inf else fiber(cover, Q))
         )
         fibers.append((Q, pts))
 

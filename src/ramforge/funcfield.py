@@ -13,7 +13,7 @@ which is what genus 0 buys us.
 import math
 
 from . import polyring
-from .config import DEFAULT_LIMITS
+from .config import LAURENT_MARGIN
 from .errors import ParseError, PreconditionError, SizeBoundError
 from .galois import GF, FieldElement, embed
 from .polyring import Polynomial
@@ -177,9 +177,6 @@ class Divisor:
 
     def __hash__(self):
         return hash((self.field.p, self.field.m, self._items))
-
-    def __ge__(self, other):
-        return (self - other).is_effective() or self == other
 
     def to_text(self, var="x"):
         if not self._items:
@@ -377,10 +374,6 @@ class RationalFunction:
             raise ZeroDivisionError("evaluation at a pole")
         return self.num.evaluate(x) * dv.inverse()
 
-    def degree_map(self):
-        """Degree as a map of the projective line: max(deg num, deg den)."""
-        return max(self.num.degree, self.den.degree)
-
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement, Polynomial)):
             other = self._coerce(other)
@@ -413,11 +406,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()!r} over {self.field!r})"
-
-
-def rf_normalize(num, den):
-    """Public constructor name for RationalFunction(num, den)."""
-    return RationalFunction(num, den)
 
 
 def parse_rational(text, field, var="x"):
@@ -591,8 +579,8 @@ def _series_quotient(K, num, den, prec):
     return a - b, out
 
 
-def default_precision(f, limits=DEFAULT_LIMITS):
-    return 2 * max(f.num.degree, f.den.degree, 1) + limits.laurent_margin
+def default_precision(f):
+    return 2 * max(f.num.degree, f.den.degree, 1) + LAURENT_MARGIN
 
 
 def laurent_expand(f, place, precision=None):
@@ -735,11 +723,6 @@ def rr_basis(D):
     return out
 
 
-def _nonvanishing_at(f, place):
-    """Whether v_place(f) == 0 given that v_place(f) >= 0 structurally."""
-    return valuation(f, place) == 0
-
-
 def prescribed_element(
     D, P, n=None, avoid=(), zero_at=None, search_limit=65536
 ):
@@ -818,7 +801,7 @@ def prescribed_element(
             pos -= 1
         if valuation(f, P) != -n:
             continue
-        if any(not _nonvanishing_at(f, R) for R in avoid):
+        if any(valuation(f, R) != 0 for R in avoid):
             continue
         return f
     if exhaustive:

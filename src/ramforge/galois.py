@@ -18,7 +18,7 @@ integer encoding, so the tables are reproducible).  Larger fields fall back
 to digit arithmetic, which is slow but exact.
 """
 
-from .config import DEFAULT_LIMITS
+from .config import MAX_FIELD_SIZE, TABLE_LIMIT
 from .errors import PreconditionError, SizeBoundError
 
 _FIELD_CACHE = {}
@@ -51,18 +51,17 @@ def _is_prime(n):
 class Field:
     """A finite field GF(p**m).  Use field_create, not the constructor."""
 
-    def __init__(self, p, m, limits=DEFAULT_LIMITS):
+    def __init__(self, p, m):
         self.p = p
         self.m = m
         self.q = p**m
-        self.limits = limits
         self._embeddings = {}
         self._mod_digits = None  # modulus coefficients, ascending, length m+1
         self._exp = None
         self._log = None
         if m > 1:
             self._mod_digits = _canonical_modulus_digits(p, m)
-            if self.q <= limits.table_limit:
+            if self.q <= TABLE_LIMIT:
                 self._build_tables()
 
     # -- construction -------------------------------------------------
@@ -91,16 +90,6 @@ class Field:
         return FieldElement(self, v)
 
     __call__ = element
-
-    def from_coeffs(self, coeffs):
-        """Element from coordinates in the power basis (ascending)."""
-        if len(coeffs) > self.m:
-            raise PreconditionError("too many coordinates")
-        v, shift = 0, 1
-        for c in coeffs:
-            v += (int(c) % self.p) * shift
-            shift *= self.p
-        return FieldElement(self, v)
 
     @property
     def zero(self):
@@ -378,17 +367,19 @@ def _canonical_modulus_digits(p, m):
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-def field_create(p, m=1, limits=DEFAULT_LIMITS):
+def field_create(p, m=1):
     """The cached field GF(p**m) with the canonical modulus."""
     if m < 1:
         raise PreconditionError("extension degree must be >= 1")
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    if p**m > limits.max_field_size:
+    # p**m >= 2**((bit_length - 1) * m): reject huge orders before computing one
+    too_big = (p.bit_length() - 1) * m >= MAX_FIELD_SIZE.bit_length()
+    if too_big or p**m > MAX_FIELD_SIZE:
         raise SizeBoundError(f"field order {p}**{m} exceeds the size bound")
     key = (p, m)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = Field(p, m, limits)
+        _FIELD_CACHE[key] = Field(p, m)
     return _FIELD_CACHE[key]
 
 

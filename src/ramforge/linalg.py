@@ -1,9 +1,8 @@
-"""Small exact linear algebra helpers.
+"""Incremental first-dependency search over a finite field.
 
-Two customers: minimal-polynomial computation over a finite field (raw
-integer vectors, incremental first-dependency search) and the quartic
-coordinate solve, whose matrix entries are rational functions.  The generic
-solver only assumes field-like operands with is_zero().
+The one customer is minimal-polynomial computation (cover.pushforward_place):
+successive powers of a residue class go in as raw integer vectors until the
+first linear relation among them appears.
 """
 
 from .errors import PreconditionError
@@ -48,26 +47,3 @@ class RelationTracker:
         self.rows.append((piv, v, combo))
         return None
 
-
-def solve_square(matrix, rhs):
-    """Solve M x = b by Gaussian elimination with first-nonzero pivoting.
-
-    Entries must support +, -, *, /, and is_zero().  Raises on a singular
-    matrix.
-    """
-    n = len(matrix)
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if not rows[r][col].is_zero()), None
-        )
-        if piv is None:
-            raise PreconditionError("singular linear system")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv_lead = rows[col][col]
-        rows[col] = [e / inv_lead for e in rows[col]]
-        for r in range(n):
-            if r != col and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]

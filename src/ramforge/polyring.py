@@ -585,16 +585,20 @@ def _prime_divisors(n):
     return out
 
 
-def irreducible_poly(field, d):
-    """The canonical (encoding-minimal) monic irreducible of degree d."""
-    if d < 1:
-        raise PreconditionError("degree must be >= 1")
+def irreducibles(field, d):
+    """The monic irreducibles of degree d >= 1, in encoding order."""
     base = field.q**d
     for j in range(base):
         f = Polynomial._raw(field, _decode(field, base + j))
         if is_irreducible(f):
-            return f
-    raise AssertionError("unreachable")  # pragma: no cover
+            yield f
+
+
+def irreducible_poly(field, d):
+    """The canonical (encoding-minimal) monic irreducible of degree d."""
+    if d < 1:
+        raise PreconditionError("degree must be >= 1")
+    return next(irreducibles(field, d))
 
 
 # ---------------------------------------------------------------------------

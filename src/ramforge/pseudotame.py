@@ -14,6 +14,7 @@ vanishing derivative, which over a perfect constant field is exact.
 """
 
 import dataclasses
+import itertools
 import math
 
 from . import polyring
@@ -37,15 +38,6 @@ def _require_char2(field):
 def _is_square(f):
     """f in F^2, i.e. df/dw = 0 (char 2, perfect constants)."""
     return f.derivative().is_zero()
-
-
-def _sqrt_poly(poly):
-    """Exact square root of a polynomial lying in F[w^2]."""
-    K = poly.field
-    out = []
-    for i in range(0, len(poly._c), 2):
-        out.append(K.pth_root_raw(poly._c[i]))
-    return Polynomial(K, out)
 
 
 def _even_odd_split(x):
@@ -224,34 +216,15 @@ def apply_quartic_moebius(x, a, b, c, d):
 def _place_stream(field, forbidden):
     """Canonical inexhaustible stream of places: degree-1 finite by
     encoding, then infinity, then higher degrees by encoding."""
-    for v in range(field.q):
-        P = Place.from_root(field.element(v))
+    linear = (Place.from_root(field.element(v)) for v in range(field.q))
+    higher = (
+        Place(field, f)
+        for d in itertools.count(2)
+        for f in polyring.irreducibles(field, d)
+    )
+    for P in itertools.chain(linear, [Place.infinite(field)], higher):
         if P not in forbidden:
             yield P
-    inf = Place.infinite(field)
-    if inf not in forbidden:
-        yield inf
-    d = 2
-    while True:
-        base = field.q**d
-        for j in range(base):
-            f = Polynomial(
-                field,
-                _digits(field, base + j),
-            )
-            if polyring.is_irreducible(f):
-                P = Place(field, f)
-                if P not in forbidden:
-                    yield P
-        d += 1
-
-
-def _digits(field, k):
-    out = []
-    while k:
-        out.append(k % field.q)
-        k //= field.q
-    return out
 
 
 def _sqrt_const(c):

@@ -10,7 +10,8 @@ from ramforge.belyi import (
     wild_belyi,
     wild_step,
 )
-from ramforge.errors import PreconditionError, SizeBoundError
+from ramforge.cover import ramification_report
+from ramforge.errors import InternalCheckError, PreconditionError, SizeBoundError
 from ramforge.funcfield import Place, parse_place
 from ramforge.polyring import Polynomial, gcd, irreducible_poly
 
@@ -29,23 +30,21 @@ def places(field, *names):
 
 
 def test_wild_step_frozen_maps():
-    assert wild_step(F2, 0).to_text() == "u = (t^3+1)/t"
-    assert wild_step(F3, 0).to_text() == "u = (t^4+1)/t"
-    assert wild_step(F5, 0).to_text() == "u = (t^6+1)/t"
+    assert wild_step(F2, 0)[0].to_text() == "u = (t^3+1)/t"
+    assert wild_step(F3, 0)[0].to_text() == "u = (t^4+1)/t"
+    assert wild_step(F5, 0)[0].to_text() == "u = (t^6+1)/t"
 
 
 def test_wild_step_shifted():
-    c = wild_step(F2, 1)
+    c, _ = wild_step(F2, 1)
     assert c.to_text() == "u = (t^3+t^2+t)/(t+1)"
     assert c.degree == 3
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_wild_step_fiber_shape(p):
-    from ramforge.cover import ramification_report
-
-    c = wild_step(GF(p), 0)
-    r = ramification_report(c)
+    c, r = wild_step(GF(p), 0)
+    assert r == ramification_report(c)
     assert [q.text("u") for q in r.branch_locus] == ["inf"]
     (below, pts), = r.fibers
     shape = sorted((pt.e, pt.f, pt.d, pt.wild) for pt in pts)
@@ -112,6 +111,44 @@ def test_wild_chain_empty_set():
     assert ch.composite.to_text() == "y = (t^9+t^6+1)/(t^5+t^2)"
     assert ch.composite.degree == 9
     assert all(c.ok for c in ch.certificate)
+
+
+def test_chain_carries_step_reports():
+    ch = wild_belyi(F2, places(F2, "x^2+x+1"))
+    assert len(ch.step_reports) == len(ch.steps) == 3
+    for step, rep in zip(ch.steps, ch.step_reports):
+        assert rep.cover is step
+        assert rep == ramification_report(step)
+
+
+def test_composite_certificate_detects_a_wrong_composite(monkeypatch):
+    import ramforge.belyi as belyi
+    from ramforge.cover import cover_create
+
+    real = belyi.compose
+
+    def skewed(inner, outer):
+        comp = real(inner, outer)
+        return cover_create(
+            comp.field,
+            comp.num + comp.den,
+            comp.den,
+            var_up=comp.var_up,
+            var_down=comp.var_down,
+        )
+
+    monkeypatch.setattr(belyi, "compose", skewed)
+    with pytest.raises(InternalCheckError, match="composite_equals_steps"):
+        wild_belyi(F2, set())
+
+
+def test_f_beta_sweep_runs_once_per_field():
+    from ramforge.belyi import _f_beta_sweep
+
+    _f_beta_sweep.cache_clear()
+    wild_belyi(F3, set())
+    info = _f_beta_sweep.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_chain_as_dict_schema():

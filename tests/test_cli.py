@@ -83,6 +83,62 @@ def test_size_bound_exit_4(capsys, monkeypatch):
     assert "ramforge: error:" in err
 
 
+def test_internal_check_payload_on_stderr(capsys, monkeypatch):
+    import ramforge.cover as cover
+    from ramforge.funcfield import Divisor, Place
+
+    real = cover._different_divisor
+
+    def skewed(cov, *args):
+        inf = Place.infinite(cov.field)
+        return real(cov, *args) + Divisor(cov.field, [(inf, 2)])
+
+    monkeypatch.setattr(cover, "_different_divisor", skewed)
+    rc, out, err = run(capsys, ["analyze", "--p", "2", "x^3+1", "x"])
+    assert rc == 5
+    assert out == ""
+    message, payload, tail = err.split("\n")
+    assert message.startswith("ramforge: error: structural identities failed")
+    assert tail == ""
+    obj = json.loads(payload)
+    assert payload == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert obj["cover"] == "t = (x^3+1)/x"
+    assert obj["checks"]["hurwitz"] is False
+
+
+def _count_reports(monkeypatch):
+    import ramforge.belyi as belyi
+    import ramforge.cli as cli
+    import ramforge.cover as cover
+
+    calls = []
+    real = cover.ramification_report
+
+    def counted(cov):
+        calls.append(cov)
+        return real(cov)
+
+    for mod in (cover, belyi, cli):
+        monkeypatch.setattr(mod, "ramification_report", counted)
+    return calls
+
+
+def test_belyi_wild_computes_each_report_once(capsys, monkeypatch):
+    calls = _count_reports(monkeypatch)
+    rc, _, _ = run(
+        capsys, ["belyi-wild", "--p", "2", "--places", "x^2+x+1,x+1"]
+    )
+    assert rc == 0
+    assert len(calls) == 4  # three steps and the composite
+
+
+def test_belyi_tame_computes_one_report(capsys, monkeypatch):
+    calls = _count_reports(monkeypatch)
+    rc, _, _ = run(capsys, ["belyi-tame", "--p", "5", "--places", "x+1,x+2"])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as e:
         main(["analyze", "x^3"])  # --p missing

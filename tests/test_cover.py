@@ -121,6 +121,29 @@ def test_report_wild_step_shape():
     ]
 
 
+@pytest.mark.parametrize("make", ["denominator", "tower"])
+def test_report_factors_each_polynomial_once(make, monkeypatch):
+    from ramforge import polyring
+    from ramforge.belyi import wild_belyi
+
+    if make == "denominator":
+        cov = mk(F3, "x^5+x+1", "x^2*(x+1)")
+    else:
+        cov = wild_belyi(F2, [parse_place("x^2+x+1", F2, "x")]).composite
+        assert cov.degree == 27
+    seen = []
+    real = polyring.factor
+
+    def counted(f):
+        seen.append((f.field, f.encoding()))
+        return real(f)
+
+    monkeypatch.setattr(polyring, "factor", counted)
+    ramification_report(cov)
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
 def test_report_as_dict_schema():
     d = report_as_dict(ramification_report(mk(F2, "x^3")))
     assert sorted(d.keys()) == [

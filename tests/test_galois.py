@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ramforge import GF, embed
-from ramforge.errors import PreconditionError
+from ramforge.errors import PreconditionError, SizeBoundError
 
 F2 = GF(2)
 F3 = GF(3)
@@ -57,6 +57,14 @@ def test_field_create_validates():
         GF(1)
     with pytest.raises(PreconditionError):
         GF(2, 0)
+
+
+def test_field_create_rejects_huge_order_without_computing_it():
+    with pytest.raises(SizeBoundError):
+        GF(2, 65)
+    with pytest.raises(SizeBoundError):
+        GF(2, 10**10)
+    assert GF(2, 64).q == 2**64
 
 
 def test_field_identity_is_cached():

@@ -1,12 +1,7 @@
-"""Dependency tracking and dense solving over field elements."""
-
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+"""Dependency tracking over field elements."""
 
 from ramforge import GF
-from ramforge.errors import PreconditionError
-from ramforge.linalg import RelationTracker, solve_square
+from ramforge.linalg import RelationTracker
 
 F5 = GF(5)
 F4 = GF(2, 2)
@@ -33,28 +28,3 @@ def test_tracker_independent_rows():
     assert t.add([1, 1, 1]) is None
     assert t.add([0, 0, 1]) is not None
 
-
-@given(
-    entries=st.lists(st.integers(0, 4), min_size=9, max_size=9),
-    rhs=st.lists(st.integers(0, 4), min_size=3, max_size=3),
-)
-def test_solve_square_matches_substitution(entries, rhs):
-    mat = [
-        [F5.element(entries[3 * i + j]) for j in range(3)] for i in range(3)
-    ]
-    b = [F5.element(v) for v in rhs]
-    try:
-        sol = solve_square(mat, b)
-    except PreconditionError:
-        return
-    for i in range(3):
-        acc = F5.element(0)
-        for j in range(3):
-            acc = acc + mat[i][j] * sol[j]
-        assert acc == b[i]
-
-
-def test_solve_square_singular_raises():
-    row = [F4.element(1), F4.element(2)]
-    with pytest.raises(PreconditionError):
-        solve_square([row, row], [F4.element(0), F4.element(1)])
