@@ -207,11 +207,15 @@ def _different_divisor(cover, inf_pts):
     """Diff = div(dt/dx) + (dx) + 2 * Conorm(pole divisor of t).
 
     inf_pts is the fiber over (t=infinity).  The poles of dt/dx lie among
-    its places, so only the numerator of dt/dx is factored here.
+    its places, so only the numerator of dt/dx is factored here, and not
+    even that when it is the denominator of t, whose factors inf_pts holds.
     """
     K = cover.field
     tp = cover.map.derivative()
-    items = [(Place(K, pl), e) for pl, e in polyring.factor(tp.num).factors]
+    if tp.num.monic() == cover.map.den.monic():
+        items = [(P, e) for P, e, _ in inf_pts if not P.is_infinite]
+    else:
+        items = [(Place(K, pl), e) for pl, e in polyring.factor(tp.num).factors]
     for P, e, _ in inf_pts:
         if P.is_infinite:
             v = valuation(tp, P) - 2

@@ -2,21 +2,21 @@
 
 Coefficients are stored ascending as raw integer encodings (see galois);
 the zero polynomial has an empty coefficient tuple.  Every routine here is
-deterministic: equal-degree splitting walks candidate polynomials in the
-integer-encoding order instead of sampling, so factor lists come out the
-same on every run and platform.  Irreducible factors are reported monic and
-sorted by (degree, encoding).
+deterministic: equal-degree splitting walks a fixed, finite candidate list
+instead of sampling, so factor lists come out the same on every run and
+platform.  Irreducible factors are reported monic and sorted by (degree,
+encoding).
 
 The factor chain is classical: squarefree decomposition (with p-th root
 extraction when the derivative vanishes), then distinct-degree splitting by
-Frobenius powers, then equal-degree splitting; characteristic 2 splits with
-the absolute trace map x + x**2 + ... + x**(2**(k*d-1)), odd characteristic
-with (q**d - 1)/2 powers.
+Frobenius powers, then equal-degree splitting by Berlekamp's trace map: the
+absolute trace of a candidate modulo the part takes values in GF(p) at the
+roots, and any non-constant trace splits the part (see _edf).
 """
 
 import dataclasses
 
-from .errors import ParseError, PreconditionError
+from .errors import InternalCheckError, ParseError, PreconditionError
 from .galois import FieldElement
 
 # ---------------------------------------------------------------------------
@@ -137,9 +137,15 @@ def _eval(K, a, x):
 
 
 def _frob_mod(K, h, f):
-    """h**p mod f, via the additivity of x -> x**p."""
+    """h**p mod f, via the additivity of x -> x**p.
+
+    Spreading h over x**p costs (deg h)*p slots, so for p >= len(f) the
+    power is taken by squaring instead.
+    """
     if not h:
         return []
+    if K.p >= len(f):
+        return _powmod(K, h, K.p, f)
     spread = [0] * ((len(h) - 1) * K.p + 1)
     for i, c in enumerate(h):
         if c:
@@ -468,46 +474,98 @@ def _ddf(K, f):
     return out
 
 
+_SHIFTS_BEFORE_CHECK = 64  # failed shifts a before T**p == T is verified
+
+
 def _try_split(K, part, cand, d):
-    """One deterministic split attempt; returns a proper monic factor or None."""
-    c = _mod(K, cand, part)
-    g = _gcd(K, c, part)
-    if 0 < len(g) - 1 < len(part) - 1:
-        return g
-    if not c:
+    """One split attempt by the trace of cand; a proper monic factor or None.
+
+    T = sum(cand**(p**i) for i < m*d) mod part takes, at every root of part,
+    the absolute trace of cand there, a value in GF(p).  A constant T fails
+    at once.  Otherwise gcd(part, T) splits for p = 2; for odd p, some
+    gcd(part, T + a) with a in GF(p) splits at the latest when -a is one of
+    the trace values, and (T + a)**((p-1)/2) - 1 is tried alongside.
+    """
+    t = _mod(K, cand, part)
+    trace = t
+    for _ in range(K.m * d - 1):
+        t = _frob_mod(K, t, part)
+        trace = _add(K, trace, t)
+    if len(trace) <= 1:
         return None
-    if K.p == 2:
-        acc = list(c)
-        t = c
-        for _ in range(K.m * d - 1):
-            t = _frob_mod(K, t, part)
-            acc = _add(K, acc, t)
-        g = _gcd(K, acc, part)
-    else:
-        t = _powmod(K, c, (K.q**d - 1) // 2, part)
-        g = _gcd(K, _sub(K, t, [1]), part)
-    if 0 < len(g) - 1 < len(part) - 1:
-        return g
-    return None
+    n = len(part) - 1
+    for a in range(K.p):
+        if a == _SHIFTS_BEFORE_CHECK and _frob_mod(K, trace, part) != trace:
+            # T is not GF(p)-valued, so part is not a product of degree-d
+            # irreducibles and no shift splits it; for large p, say so now
+            raise InternalCheckError(
+                "equal-degree split: trace not in GF(p)",
+                payload={"field": [K.p, K.m], "degree": d, "part": part},
+            )
+        shifted = _add(K, trace, [a])
+        g = _gcd(K, part, shifted)
+        if 0 < len(g) - 1 < n:
+            return g
+        if K.p == 2:
+            continue
+        half = _powmod(K, shifted, (K.p - 1) // 2, part)
+        g = _gcd(K, part, _sub(K, half, [1]))
+        if 0 < len(g) - 1 < n:
+            return g
+    return None  # only for a part that is not a product of degree-d irreducibles
+
+
+def _candidates(K, n, j0, i0):
+    """Positions (j, i) of the split candidates z**i * x**j for a degree-n part.
+
+    1 <= j < n with p not dividing j, 0 <= i < m, from (j0, i0) on.
+    """
+    for j in range(j0, n):
+        if j % K.p:
+            for i in range(i0 if j == j0 else 0, K.m):
+                yield j, i
 
 
 def _edf(K, f, d):
-    """All monic irreducible factors of f, each of degree d."""
+    """All monic irreducible factors of a squarefree f, each of degree d.
+
+    A part of degree n = k*d (k >= 2) is split by the first candidate
+    z**i * x**j (encoding p**i for z**i; 1 <= j < n, p not dividing j; j
+    outer, i inner) whose trace modulo the part is not constant; see
+    _try_split.  Such a candidate exists: the trace is GF(p)-linear, it
+    maps K[x]/(part) onto GF(p)**k and Tr(c**p) = Tr(c), so the traces of
+    the candidates together with the constants span that image, which is
+    more than the constants.  A part therefore splits within m*(n-1)
+    attempts.  The candidates that failed on a part have a constant trace
+    on each of its factors, so both factors resume the walk at the
+    candidate that split it.  A part the walk cannot split, or a factor
+    found twice, means f was not a squarefree product of degree-d
+    irreducibles and raises InternalCheckError.
+    """
     out = []
-    stack = [f]
+    stack = [(f, 1, 0)]
     while stack:
-        part = stack.pop()
-        if len(part) - 1 == d:
+        part, j0, i0 = stack.pop()
+        n = len(part) - 1
+        if n == d:
+            if part in out:
+                raise InternalCheckError(
+                    "equal-degree split found a factor twice",
+                    payload={"field": [K.p, K.m], "degree": d, "factor": part},
+                )
             out.append(part)
             continue
-        k = K.q  # first degree-1 candidate in encoding order
-        while True:
-            g = _try_split(K, part, _decode(K, k), d)
+        for j, i in _candidates(K, n, j0, i0):
+            g = _try_split(K, part, [0] * j + [K.p**i], d)
             if g is not None:
-                stack.append(g)
-                stack.append(_divmod(K, part, g)[0])
+                stack.append((g, j, i))
+                stack.append((_divmod(K, part, g)[0], j, i))
                 break
-            k += 1
+        else:
+            raise InternalCheckError(
+                "equal-degree split ran out of candidates",
+                payload={"field": [K.p, K.m], "degree": d, "part": part},
+            )
     return out
 
 

@@ -1,7 +1,10 @@
 """Command-line interface: golden outputs, exit codes, error surface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +140,61 @@ def test_belyi_tame_computes_one_report(capsys, monkeypatch):
     rc, _, _ = run(capsys, ["belyi-tame", "--p", "5", "--places", "x+1,x+2"])
     assert rc == 0
     assert len(calls) == 1
+
+
+def _count_factor_calls(monkeypatch):
+    from ramforge import polyring
+
+    calls = []
+    real = polyring.factor
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(polyring, "factor", counted)
+    return calls
+
+
+def test_belyi_wild_reads_chain_e_off_step_reports(capsys, monkeypatch):
+    calls = _count_factor_calls(monkeypatch)
+    rc, _, _ = run(
+        capsys, ["belyi-wild", "--p", "2", "--places", "x^2+x+1,x+1"]
+    )
+    assert rc == 0
+    assert len(calls) == 8
+
+
+def test_belyi_tame_reads_fiber_over_zero_off_the_different(capsys, monkeypatch):
+    calls = _count_factor_calls(monkeypatch)
+    rc, _, _ = run(capsys, ["belyi-tame", "--p", "5", "--places", "x+1,x+2"])
+    assert rc == 0
+    assert len(calls) == 2
+
+
+def test_factor_over_large_prime_within_memory_cap():
+    """Under a 1.5 GB address-space cap; spreading over x^p needs 34 GB."""
+    resource = pytest.importorskip("resource")
+    import ramforge
+
+    src = str(pathlib.Path(ramforge.__file__).parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramforge.cli", "factor", "--p", "2147483647",
+         "T^3+T+1"],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "T^3+T+1 = (T+671979734) * (T+1551541317) * (T+2071446243)\n"
+    )
 
 
 def test_usage_errors_raise_system_exit():

@@ -1,5 +1,7 @@
 """Covers of the projective line: fibers, different, report checks."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -121,13 +123,16 @@ def test_report_wild_step_shape():
     ]
 
 
-@pytest.mark.parametrize("make", ["denominator", "tower"])
+@pytest.mark.parametrize("make", ["denominator", "derivative", "tower"])
 def test_report_factors_each_polynomial_once(make, monkeypatch):
     from ramforge import polyring
     from ramforge.belyi import wild_belyi
 
     if make == "denominator":
         cov = mk(F3, "x^5+x+1", "x^2*(x+1)")
+    elif make == "derivative":
+        cov = mk(F2, "x^5+1", "x^2")
+        assert cov.map.derivative().num == cov.map.den
     else:
         cov = wild_belyi(F2, [parse_place("x^2+x+1", F2, "x")]).composite
         assert cov.degree == 27
@@ -142,6 +147,58 @@ def test_report_factors_each_polynomial_once(make, monkeypatch):
     ramification_report(cov)
     assert seen
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize(
+    "field,num,den,max_attempts,shape,sha256",
+    [
+        # its fiber polynomials include a degree-60 equal-degree part
+        (
+            F5,
+            "2*x^8+2*x^7+3*x^6+4*x^5+4*x^4+3*x^3+4*x+2",
+            "x^4+2*x^3+3*x^2+2*x+3",
+            8,
+            [
+                [(1, 1, 1, 0), (1, 1, 1, 0), (1, 2, 1, 1), (4, 1, 4, 0)],
+                [(10, 2, 1, 1), (30, 1, 3, 0), (30, 1, 3, 0)],
+                [(2, 1, 2, 0), (2, 1, 2, 0), (0, 4, 1, 3)],
+            ],
+            "9d2a343d07000a86a1611bc3ef03e721bd8863df03173acc4f179570f197f83b",
+        ),
+        (
+            F3,
+            "x^8+x^6+x^5+x^4+2*x^3+2*x^2+2",
+            "x^7+x^3+x^2+x+1",
+            4,
+            [
+                [(14, 2, 1, 1), (42, 1, 3, 0), (42, 1, 3, 0)],
+                [(7, 1, 7, 0), (0, 1, 1, 0)],
+            ],
+            "defcb4425c48d6ed0b40e36675af724565d1fcd76559794bd9c4e9b5e8f7011d",
+        ),
+    ],
+)
+def test_slow_survey_covers(field, num, den, max_attempts, shape, sha256, monkeypatch):
+    from ramforge import polyring
+
+    calls = []
+    real = polyring._try_split
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyring, "_try_split", counted)
+    rep = ramification_report(mk(field, num, den))
+    # (degree of the place above, 0 at infinity; e; f; d) fiber by fiber
+    assert [
+        [(0 if pt.above.is_infinite else pt.above.degree, pt.e, pt.f, pt.d)
+         for pt in pts]
+        for _, pts in rep.fibers
+    ] == shape
+    text = json.dumps(report_as_dict(rep), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    assert len(calls) <= max_attempts
 
 
 def test_report_as_dict_schema():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramforge import GF
-from ramforge.errors import ParseError, PreconditionError
+from ramforge import GF, polyring
+from ramforge.errors import InternalCheckError, ParseError, PreconditionError
 from ramforge.polyring import (
     Polynomial,
     factor,
@@ -78,6 +78,50 @@ def test_irreducible_poly_frozen():
 def test_factor_of_zero_raises():
     with pytest.raises(PreconditionError):
         factor(Polynomial(F2, [0]))
+
+
+# ---------------------------------------------------------------------------
+# equal-degree splitting: bounded, deterministic
+
+
+def count_splits(monkeypatch):
+    calls = []
+    real = polyring._try_split
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyring, "_try_split", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "field,text,max_attempts,n_factors",
+    [(F2, "T^512+T", 400, 60), (F4, "T^256+T", 500, 70)],
+)
+def test_split_attempts_bounded(field, text, max_attempts, n_factors, monkeypatch):
+    calls = count_splits(monkeypatch)
+    fact = factor(poly(field, text))
+    assert len(fact.factors) == n_factors
+    assert all(e == 1 for _, e in fact.factors)
+    assert len(calls) <= max_attempts
+
+
+@pytest.mark.parametrize(
+    "field,text,d",
+    [
+        (F2, "(T^2+T+1)^2", 2),  # not squarefree
+        (F3, "T*(T+1)^2", 1),
+        (F5, "(T^2+2)^2*(T^2+3)", 2),
+        (F2, "T^3+T+1", 1),  # irreducible of degree 3, not 1
+        (GF(2**31 - 1), "T^2+1", 1),  # irreducible: no shift of T splits
+    ],
+)
+def test_edf_rejects_bad_parts(field, text, d):
+    with pytest.raises(InternalCheckError) as err:
+        polyring._edf(field, list(poly(field, text)._c), d)
+    assert err.value.payload["degree"] == d
 
 
 # ---------------------------------------------------------------------------
