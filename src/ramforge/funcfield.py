@@ -13,7 +13,7 @@ which is what genus 0 buys us.
 import math
 
 from . import polyring
-from .config import LAURENT_MARGIN
+from .config import LAURENT_MARGIN, MAX_COVER_DEGREE
 from .errors import ParseError, PreconditionError, SizeBoundError
 from .galois import GF, FieldElement, embed
 from .polyring import Polynomial
@@ -597,6 +597,10 @@ def laurent_expand(f, place, precision=None):
         precision = default_precision(f)
     if precision < 1:
         raise PreconditionError("precision must be positive")
+    if precision > MAX_COVER_DEGREE:
+        raise SizeBoundError(
+            f"precision {precision} exceeds the cap {MAX_COVER_DEGREE}"
+        )
     K = f.field
     if place.is_infinite:
         num = list(reversed(f.num._c))

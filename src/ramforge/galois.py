@@ -14,8 +14,13 @@ characteristic.
 
 Multiplication in extension fields of order up to the table limit runs on
 exp/log tables built from the smallest primitive element (smallest in the
-integer encoding, so the tables are reproducible).  Larger fields fall back
-to digit arithmetic, which is slow but exact.
+integer encoding, so the tables are reproducible).  Set-up finds it by the
+order test: g generates the multiplicative group iff g**((q-1)/l) != 1 for
+every prime l dividing q - 1.  Multiplication by g is GF(p)-linear, so the
+powers of g then follow from two small tables of products with g (one for
+the low half of the digits, one for the high half) by lookups and one
+addition each; see Field._build_tables.  Larger fields fall back to digit
+arithmetic, which is slow but exact.
 """
 
 from .config import MAX_FIELD_SIZE, TABLE_LIMIT
@@ -46,6 +51,21 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _prime_divisors(n):
+    """The distinct prime divisors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class Field:
@@ -210,17 +230,32 @@ class Field:
         return v
 
     def _build_tables(self):
-        q = self.q
-        for g in range(2, q):
-            exp = [1]
-            e = g
-            while e != 1:
-                exp.append(e)
-                e = self._mul_digits(e, g)
-            if len(exp) == q - 1:
-                break
-        else:  # pragma: no cover - every finite field has a primitive element
-            raise AssertionError("no primitive element found")
+        """exp/log tables from the smallest primitive element g.
+
+        g is the least candidate >= 2 with g**((q-1)/l) != 1 for every
+        prime l dividing q - 1, taken by digit arithmetic.  Then, with
+        P = p**(m//2), every encoding splits as v = lo + hi*P, and
+        v*g = lo*g + (hi*z**(m//2))*g since multiplication by g is
+        GF(p)-linear.  Both products are tabulated once (about 2*sqrt(q)
+        digit multiplications), so each power of g costs two lookups and
+        one addition.
+        """
+        q, n = self.q, self.q - 1
+        cofactors = [n // ell for ell in _prime_divisors(n)]
+        g = next(
+            c for c in range(2, q)
+            if all(self.pow_raw(c, e) != 1 for e in cofactors)
+        )
+        P = self.p ** (self.m // 2)
+        low = [self._mul_digits(lo, g) for lo in range(P)]
+        high = [self._mul_digits(hi * P, g) for hi in range(q // P)]
+        add = self.add_raw
+        exp = [1] * n
+        e = 1
+        for i in range(1, n):
+            hi, lo = divmod(e, P)
+            e = add(low[lo], high[hi])
+            exp[i] = e
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

@@ -16,8 +16,9 @@ roots, and any non-constant trace splits the part (see _edf).
 
 import dataclasses
 
-from .errors import InternalCheckError, ParseError, PreconditionError
-from .galois import FieldElement
+from .config import MAX_COVER_DEGREE
+from .errors import InternalCheckError, ParseError, PreconditionError, SizeBoundError
+from .galois import FieldElement, _prime_divisors
 
 # ---------------------------------------------------------------------------
 # raw kernels: coefficient lists of integer encodings, ascending, trimmed
@@ -73,9 +74,10 @@ def _divmod(K, a, b):
         k = len(a) - 1 - db
         c = K.mul_raw(a[-1], inv)
         q[k] = c
+        nc = K.neg_raw(c)
         for i, y in enumerate(b):
             if y:
-                a[k + i] = K.sub_raw(a[k + i], K.mul_raw(c, y))
+                a[k + i] = K.add_raw(a[k + i], K.mul_raw(nc, y))
         _trim(a)
     return _trim(q), a
 
@@ -607,13 +609,20 @@ def roots(f):
 
 
 def is_irreducible(f):
-    """Rabin's criterion via Frobenius powers."""
+    """Rabin's criterion via Frobenius powers.
+
+    A polynomial of degree >= 2 with zero derivative lies in K[x**p]; over a
+    finite (hence perfect) field it is the p-th power of a polynomial of
+    positive degree, so it is rejected before any Frobenius step.
+    """
     if f.degree < 1:
         return False
     K = f.field
     n = f.degree
     if n == 1:
         return True
+    if not _derivative(K, f._c):
+        return False
     fm = _monic(K, f._c)[0]
     x = [0, 1]
     checkpoints = {n // ell for ell in _prime_divisors(n)}
@@ -627,20 +636,6 @@ def is_irreducible(f):
         if i == n:
             return h == _mod(K, x, fm)
     return False  # pragma: no cover
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def irreducibles(field, d):
@@ -695,7 +690,13 @@ def _tokenize(s):
             j = i
             while j < len(s) and s[j].isdigit():
                 j += 1
-            toks.append(("INT", int(s[i:j]), i))
+            try:
+                value = int(s[i:j])
+            except ValueError:  # past the interpreter's int_max_str_digits
+                raise SizeBoundError(
+                    f"integer at position {i} has too many digits"
+                ) from None
+            toks.append(("INT", value, i))
             i = j
             continue
         if ch.isalpha():
@@ -712,6 +713,14 @@ def _tokenize(s):
         raise ParseError(f"unexpected character {ch!r} at position {i}")
     toks.append(("END", None, len(s)))
     return toks
+
+
+def _check_parsed_degree(degree, pos):
+    """Reject a product or power of degree above the cap before building it."""
+    if degree > MAX_COVER_DEGREE:
+        raise SizeBoundError(
+            f"degree {degree} at position {pos} exceeds the cap {MAX_COVER_DEGREE}"
+        )
 
 
 class _PolyParser:
@@ -754,8 +763,10 @@ class _PolyParser:
     def term(self):
         acc = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            acc = acc * self.factor()
+            pos = self.take()[2]
+            rhs = self.factor()
+            _check_parsed_degree(acc.degree + rhs.degree, pos)
+            acc = acc * rhs
         return acc
 
     def factor(self):
@@ -765,6 +776,7 @@ class _PolyParser:
             tok = self.take("INT")
             if tok[1] < 0:
                 raise ParseError(f"negative exponent at position {tok[2]}")
+            _check_parsed_degree(base.degree * tok[1], tok[2])
             return base ** tok[1]
         return base
 

@@ -269,3 +269,37 @@ def pf_eval(coeffs, v, p):
     for c in reversed(coeffs):
         acc = (acc * v + c) % p
     return acc
+
+
+def pf_exp_log(p, m, modulus):
+    """exp/log tables of GF(p)[T]/(modulus) by walking whole cycles.
+
+    Elements are encoded as sum(c_i * p**i).  The generator is the smallest
+    encoding g >= 2 whose powers reach all q - 1 nonzero elements; exp[i]
+    encodes g**i and log[exp[i]] = i (log[0] = 0).
+    """
+    q = p**m
+
+    def decode(v):
+        digits = []
+        for _ in range(m):
+            digits.append(v % p)
+            v //= p
+        return pf_trim(digits)
+
+    def encode(c):
+        return sum(x * p**i for i, x in enumerate(c))
+
+    for g in range(2, q):
+        gd = decode(g)
+        exp = [1]
+        e = gd
+        while e != (1,):
+            exp.append(encode(e))
+            e = pf_mod(pf_mul(e, gd, p), modulus, p)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp, log

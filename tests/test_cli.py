@@ -172,8 +172,8 @@ def test_belyi_tame_reads_fiber_over_zero_off_the_different(capsys, monkeypatch)
     assert len(calls) == 2
 
 
-def test_factor_over_large_prime_within_memory_cap():
-    """Under a 1.5 GB address-space cap; spreading over x^p needs 34 GB."""
+def _run_under_memory_cap(argv):
+    """The CLI in a child process under a 1.5 GB address-space cap."""
     resource = pytest.importorskip("resource")
     import ramforge
 
@@ -182,19 +182,43 @@ def test_factor_over_large_prime_within_memory_cap():
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramforge.cli", "factor", "--p", "2147483647",
-         "T^3+T+1"],
+    return subprocess.run(
+        [sys.executable, "-m", "ramforge.cli", *argv],
         env={**os.environ, "PYTHONPATH": src},
         preexec_fn=cap,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_factor_over_large_prime_within_memory_cap():
+    """Spreading over x^p would need 34 GB."""
+    proc = _run_under_memory_cap(["factor", "--p", "2147483647", "T^3+T+1"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "T^3+T+1 = (T+671979734) * (T+1551541317) * (T+2071446243)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--p", "2", "T^3000000+T+1"],
+        ["laurent", "--p", "2", "1/(x+1)", "--at", "x", "--prec", "10000000"],
+    ],
+)
+def test_oversize_input_exits_4_within_memory_cap(argv):
+    proc = _run_under_memory_cap(argv)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert "exceeds the cap 65536" in proc.stderr
+
+
+def test_field_untabulated(capsys):
+    rc, out, _ = run(capsys, ["field", "--p", "257", "--m", "2"])
+    assert rc == 0
+    assert "multiplicative generator: (not tabulated)" in out
 
 
 def test_usage_errors_raise_system_exit():

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramforge import GF
-from ramforge.errors import ParseError, PreconditionError
+from ramforge.config import MAX_COVER_DEGREE
+from ramforge.errors import ParseError, PreconditionError, SizeBoundError
 from ramforge.funcfield import (
     Divisor,
     Place,
@@ -205,6 +206,14 @@ def test_laurent_degree_two_place():
 def test_laurent_of_zero_raises():
     with pytest.raises(PreconditionError):
         laurent_expand(rf(F2, "0"), pl(F2, "x"), 3)
+
+
+def test_laurent_precision_capped_before_expanding():
+    f = rf(F2, "1/(x+1)")
+    with pytest.raises(SizeBoundError):
+        laurent_expand(f, pl(F2, "x"), MAX_COVER_DEGREE + 1)
+    s = laurent_expand(f, pl(F2, "x"), MAX_COVER_DEGREE)
+    assert s.precision == MAX_COVER_DEGREE
 
 
 @given(f=nonzero_rationals(F2, 4))

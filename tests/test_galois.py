@@ -1,12 +1,24 @@
 """Canonical field models: moduli, encodings, tables, embeddings."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from ramforge import GF, embed
+from ramforge import GF, embed, galois, polyring
+from ramforge.config import TABLE_LIMIT
 from ramforge.errors import PreconditionError, SizeBoundError
+from ramforge.polyring import (
+    Polynomial,
+    factor,
+    irreducible_poly,
+    is_irreducible,
+    parse_polynomial,
+    roots,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -151,3 +163,147 @@ def test_inverse_of_zero_raises():
 def test_f16_pth_root_section(v):
     a = F16.element(v)
     assert a.pth_root() ** 2 == a
+
+
+# ---------------------------------------------------------------------------
+# exp/log tables
+
+
+SMALL_TABULATED = [
+    (p, m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    for m in range(2, 11)
+    if p**m <= 2**10
+]
+
+
+@pytest.mark.parametrize("p,m", SMALL_TABULATED)
+def test_tables_match_cycle_walk(p, m):
+    field = GF(p, m)
+    exp, log = oracles.pf_exp_log(p, m, tuple(field._mod_digits))
+    assert field._exp == exp
+    assert field._log == log
+
+
+# generator and sha256 of repr((exp, log)), frozen from the cycle walk
+FROZEN_TABLES = {
+    (3, 8): (38, "8a5ffc8382a0faca3975ba11b8ac5e61efdd224f8cb219b4657b3feb3a3f0fe7"),
+    (2, 12): (3, "01a3ec8a0eb716acf7312e0c17d0db16c3d8d1d3d646cdbe9bedb125cd6dc06a"),
+    (2, 16): (3, "8cf86c5c8887ac0bc1a1b0dc3bf87c65070198c58aa1f6ac897406dd45c64746"),
+    (3, 10): (34, "d2d41e7e7ac303a8caeebfa70a32e13cc750e2f59e1922c9b7d9e9b49fbcf56f"),
+    (13, 4): (17, "7848e3fc445e8dc3550af1c18b60de9c7a2b4bb5d1bc70b3e33c8e1c4e50a9bb"),
+    (251, 2): (256, "3dbd04bead92dffd279b10e3feec06fb874a81e4fc2536a836b24860986783a0"),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(FROZEN_TABLES))
+def test_frozen_generators_and_tables(p, m):
+    field = GF(p, m)
+    gen, digest = FROZEN_TABLES[(p, m)]
+    assert field._exp[1] == gen
+    tables = repr((field._exp, field._log)).encode()
+    assert hashlib.sha256(tables).hexdigest() == digest
+
+
+def test_table_build_digit_multiplications(monkeypatch):
+    calls = 0
+    plain = galois.Field._mul_digits
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return plain(self, a, b)
+
+    monkeypatch.setattr(galois.Field, "_mul_digits", counted)
+    field = galois.Field(3, 10)  # uncached: builds the tables again
+    assert field._exp[1] == 34
+    assert calls <= 5000  # order test plus two tables of about sqrt(q) products
+
+
+# ---------------------------------------------------------------------------
+# irreducibility: polynomials in K[x**p] are p-th powers
+
+
+def _count_rabin_tests(monkeypatch):
+    """Record the degree of every polynomial that reaches Rabin's test."""
+    seen = []
+    plain = polyring._prime_divisors
+
+    def counted(n):
+        seen.append(n)
+        return plain(n)
+
+    monkeypatch.setattr(polyring, "_prime_divisors", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "field,text",
+    [
+        (F4, "T^2+z"),
+        (F3, "T^3-2"),
+        (F2, "T^4+T^2+1"),
+        (F3, "T^6+T^3+1"),
+        (F5, "T^10+T^5+1"),
+        (GF(7), "T^14+T^7+1"),
+    ],
+)
+def test_zero_derivative_rejected_before_rabin(field, text, monkeypatch):
+    f = parse_polynomial(text, field)
+    assert f.derivative().is_zero()
+    rabin = _count_rabin_tests(monkeypatch)
+    assert not is_irreducible(f)
+    assert rabin == []
+    fac = factor(f)
+    assert fac.expand() == f
+    assert all(e % field.p == 0 for _, e in fac.factors)
+
+
+def test_least_quadratic_over_gf4096(monkeypatch):
+    rabin = _count_rabin_tests(monkeypatch)
+    f = irreducible_poly(GF(2, 12), 2)
+    assert f.to_text("T") == "T^2+T+z^9"
+    # 4,609 candidates; the 4,096 squares T^2+c need no Frobenius step
+    assert len(rabin) <= 600
+
+
+# ---------------------------------------------------------------------------
+# digit arithmetic of untabulated fields (q > TABLE_LIMIT)
+
+
+UNTABULATED = [(2, 17), (3, 11), (257, 2)]
+
+
+@pytest.mark.parametrize("p,m", UNTABULATED)
+def test_untabulated_field_arithmetic(p, m):
+    field = GF(p, m)
+    assert field.q > TABLE_LIMIT
+    assert field._exp is None
+    modulus = tuple(field._mod_digits)
+    rng = random.Random(1000 * p + m)
+    for _ in range(20):
+        a, b, c = (field.element(rng.randrange(1, field.q)) for _ in range(3))
+        assert a * a.inverse() == 1
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a ** (field.q - 1) == 1
+        assert a.frobenius().pth_root() == a
+        prod = oracles.pf_mod(oracles.pf_mul(a.coeffs, b.coeffs, p), modulus, p)
+        assert (a * b).coeffs == prod + (0,) * (m - len(prod))
+
+
+@pytest.mark.parametrize("p,m", UNTABULATED)
+def test_untabulated_field_factoring(p, m):
+    field = GF(p, m)
+    rng = random.Random(1000 * p + m)
+    for d in range(2, 7):
+        lead = rng.randrange(1, field.q)
+        f = Polynomial(field, [rng.randrange(field.q) for _ in range(d)] + [lead])
+        fac = factor(f)
+        assert fac.expand() == f
+        assert all(is_irreducible(g) for g, _ in fac.factors)
+    rs = sorted({rng.randrange(field.q) for _ in range(4)})
+    f = Polynomial.constant(field, 1)
+    for r in rs:
+        f = f * Polynomial(field, [field.neg_raw(r), 1])
+    assert [r.val for r in roots(f)] == rs

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 import oracles
 from ramforge import GF, polyring
-from ramforge.errors import InternalCheckError, ParseError, PreconditionError
+from ramforge.config import MAX_COVER_DEGREE
+from ramforge.errors import (
+    InternalCheckError,
+    ParseError,
+    PreconditionError,
+    SizeBoundError,
+)
 from ramforge.polyring import (
     Polynomial,
     factor,
@@ -271,3 +277,23 @@ def test_parse_extension_coefficients():
 def test_parse_rejects_z_over_prime_field():
     with pytest.raises(ParseError):
         parse_polynomial("z*T", F2, "T")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "T^3000000+T+1",
+        "(T^40000+1)*(T^40000+1)",
+        "(T^300)^300",
+        "T*T^65536",
+        "T^" + "9" * 5000,
+    ],
+)
+def test_parse_caps_degree_before_building(text):
+    with pytest.raises(SizeBoundError):
+        parse_polynomial(text, F2, "T")
+
+
+def test_parse_accepts_degree_at_cap_and_large_constant_powers():
+    assert parse_polynomial(f"T^{MAX_COVER_DEGREE}", F2, "T").degree == MAX_COVER_DEGREE
+    assert parse_polynomial("z^3000001*T+0^3000000", F4, "T").to_text("T") == "z*T"
