@@ -63,6 +63,15 @@ def _max_degree():
         raise PreconditionError(f"{MAX_DEGREE_ENV} is not an integer: {raw!r}")
 
 
+def _check_degree(n, what):
+    """Raise SizeBoundError when a map of degree n would pass the cap."""
+    cap = _max_degree()
+    if n > cap:
+        raise SizeBoundError(
+            f"{what} = {n} exceeds the cap {cap} (override with {MAX_DEGREE_ENV})"
+        )
+
+
 def _require(cond, name, detail):
     if not cond:
         raise InternalCheckError(f"certificate {name} failed: {detail}")
@@ -94,12 +103,7 @@ def lemma_main_map(field, S, var_up="x", var_down="t"):
             raise PreconditionError("place over the wrong field")
     r = math.lcm(*(P.degree for P in S))
     n = field.q**r - 1
-    cap = _max_degree()
-    if n > cap:
-        raise SizeBoundError(
-            f"map degree q^r - 1 = {n} exceeds the cap {cap} "
-            f"(override with {MAX_DEGREE_ENV})"
-        )
+    _check_degree(n, "map degree q^r - 1")
     g = Polynomial.constant(field, 1) - Polynomial.monomial(field, n)
     cov = cover_create(field, g, var_up=var_up, var_down=var_down)
     rep = ramification_report(cov)
@@ -285,16 +289,19 @@ def wild_belyi(field, S, var_up="x"):
     not the encoding 2: over GF(4) they differ.)  With S empty the tame
     head is unnecessary and the chain is the two wild steps alone
     (starting at t).  The certificate is recomputed from the composite,
-    never assumed.
+    never assumed.  A composite degree (q^r - 1)*(p + 1)^2 above the
+    degree cap raises SizeBoundError before any map is built.
     """
     two = field.element(1) + field.element(1)
     pairs = []
     specials = [Place(field, Polynomial.x(field)), Place.infinite(field)]
-    expected_degree = (field.p + 1) ** 2
+    head_degree = field.q ** math.lcm(*(P.degree for P in S)) - 1 if S else 1
+    expected_degree = head_degree * (field.p + 1) ** 2
+    # the composite is built and factored, so it is capped like the head map
+    _check_degree(expected_degree, "composite degree (q^r - 1)*(p + 1)^2")
     if S:
         pairs.append(lemma_main_map(field, S, var_up=var_up, var_down="t"))
         specials = list(S) + specials
-        expected_degree *= field.q ** math.lcm(*(P.degree for P in S)) - 1
     pairs.append(wild_step(field, 0, var_up="t", var_down="u"))
     pairs.append(wild_step(field, two, var_up="u", var_down="y"))
     steps = [cov for cov, _ in pairs]

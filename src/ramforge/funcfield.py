@@ -252,7 +252,22 @@ def parse_divisor(text, field, var="x"):
 
 
 class RationalFunction:
-    """num/den with gcd cancelled and the denominator monic."""
+    """num/den in lowest terms: gcd(num, den) = 1 and den monic (den = 1 for 0).
+
+    The public constructor takes any num/den and reduces it by one full gcd.
+    The arithmetic keeps the invariant without one, by Henrici's
+    cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1), which relies on both
+    operands being in lowest terms:
+
+    - (a/b)(c/d) cancels only g1 = gcd(a, d) and g2 = gcd(c, b):
+      (a/g1)(c/g2) / ((b/g2)(d/g1));
+    - a/b + c/d takes g = gcd(b, d) and t = a(d/g) + c(b/g), then cancels
+      only g2 = gcd(t, g): (t/g2) / ((b/g)(d/g2));
+    - (a/b)**e = a**e / b**e is already in lowest terms.
+
+    A reduced fraction is unique, so every result equals the public
+    constructor applied to the unreduced numerator and denominator.
+    """
 
     __slots__ = ("field", "num", "den")
 
@@ -281,12 +296,23 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _reduced(cls, num, den):
+        """num/den already in lowest terms with den monic; no gcd is taken."""
+        f = cls.__new__(cls)
+        f.field = num.field
+        f.num = num
+        f.den = den
+        return f
+
+    @classmethod
     def constant(cls, field, c):
-        return cls(Polynomial.constant(field, c))
+        return cls._reduced(
+            Polynomial.constant(field, c), Polynomial.constant(field, 1)
+        )
 
     @classmethod
     def x(cls, field):
-        return cls(Polynomial.x(field))
+        return cls._reduced(Polynomial.x(field), Polynomial.constant(field, 1))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -300,7 +326,11 @@ class RationalFunction:
                 raise PreconditionError("functions over different fields")
             return other
         if isinstance(other, Polynomial):
-            return RationalFunction(other)
+            if other.field != self.field:
+                raise PreconditionError("functions over different fields")
+            return RationalFunction._reduced(
+                other, Polynomial.constant(self.field, 1)
+            )
         if isinstance(other, (int, FieldElement)):
             return RationalFunction.constant(self.field, other)
         return NotImplemented
@@ -309,14 +339,21 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            self.num * o.den + o.num * self.den, self.den * o.den
-        )
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g = _common_factor(b, d)
+        if g is None:
+            return _reduced_or_zero(a * d + c * b, b * d)
+        bg, dg = b // g, d // g
+        t = a * dg + c * bg
+        g2 = _common_factor(t, g)
+        if g2 is None:
+            return _reduced_or_zero(t, bg * d)
+        return RationalFunction._reduced(t // g2, bg * (d // g2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -331,7 +368,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return _times(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -341,7 +378,12 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        c, d = o.den, o.num
+        lc = d.leading_coefficient
+        if lc != 1:
+            inv = lc.inverse()
+            c, d = c * inv, d * inv
+        return _times(self.num, self.den, c, d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -349,15 +391,8 @@ class RationalFunction:
 
     def __pow__(self, e):
         if e < 0:
-            return (RationalFunction.constant(self.field, 1) / self) ** (-e)
-        r = RationalFunction.constant(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
+            return self.inverse() ** (-e)
+        return RationalFunction._reduced(self.num**e, self.den**e)
 
     def inverse(self):
         return RationalFunction.constant(self.field, 1) / self
@@ -406,6 +441,34 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()!r} over {self.field!r})"
+
+
+def _common_factor(a, b):
+    """The monic gcd of nonzero a and b, or None when it is 1."""
+    if a.degree < 1 or b.degree < 1:
+        return None
+    g = polyring.gcd(a, b)
+    return g if g.degree > 0 else None
+
+
+def _reduced_or_zero(num, den):
+    """num/den for coprime num and monic den; 0/1 when num is zero."""
+    if num.is_zero():
+        den = Polynomial.constant(num.field, 1)
+    return RationalFunction._reduced(num, den)
+
+
+def _times(a, b, c, d):
+    """(a/b)(c/d) for fractions in lowest terms, by Henrici's cancellation."""
+    if a.is_zero() or c.is_zero():  # gcd(0, d) = d must not be cancelled
+        return _reduced_or_zero(a * c, b)
+    g = _common_factor(a, d)
+    if g is not None:
+        a, d = a // g, d // g
+    g = _common_factor(c, b)
+    if g is not None:
+        c, b = c // g, b // g
+    return RationalFunction._reduced(a * c, b * d)
 
 
 def parse_rational(text, field, var="x"):

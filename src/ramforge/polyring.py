@@ -12,9 +12,20 @@ extraction when the derivative vanishes), then distinct-degree splitting by
 Frobenius powers, then equal-degree splitting by Berlekamp's trace map: the
 absolute trace of a candidate modulo the part takes values in GF(p) at the
 roots, and any non-constant trace splits the part (see _edf).
+
+The raw kernels _add, _sub, _mul and _divmod choose their loop once per
+call, from the field.  In characteristic 2 addition is XOR in every field.
+GF(2) and the tabulated GF(2**m) also multiply and divide in the log
+domain (_mul2, _divmod2): the logs of one factor's or of the divisor's
+coefficients are read once per call and the log of each quotient
+coefficient once per row, so the inner loops make no Field method call.
+Other fields run the generic loops over Field.add_raw and Field.mul_raw.
+Every caller inherits the choice: gcds, Frobenius and modular powers, the
+equal-degree split and the Polynomial operators.
 """
 
 import dataclasses
+from operator import xor
 
 from .config import MAX_COVER_DEGREE
 from .errors import InternalCheckError, ParseError, PreconditionError, SizeBoundError
@@ -30,7 +41,83 @@ def _trim(c):
     return c
 
 
+# ---------------------------------------------------------------------------
+# characteristic-2 kernels: addition is XOR, products in the log domain
+
+_GF2_TABLES = ([1], [0, 0])  # GF(2): the powers and logs of its generator 1
+
+
+def _log_tables(K):
+    """(exp, log) of GF(2) or of a tabulated GF(2**m); None for other fields.
+
+    The kernels add a log in [0, q-1) to a log shifted down by q - 1, so
+    every index into exp lies in [-(q-1), q-1) and a negative one reads
+    exp[i + q - 1] = g**i: no reduction modulo q - 1 and no second table.
+    """
+    if K.p != 2:
+        return None
+    if K.m == 1:
+        return _GF2_TABLES
+    if K._exp is None:
+        return None
+    return K._exp, K._log
+
+
+def _add2(a, b):
+    """a + b in characteristic 2: XOR, coefficient by coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([*map(xor, a, b), *a[len(b):]])
+
+
+def _mul2(tables, a, b):
+    """a*b over a field with log tables; the longer factor's logs are read once."""
+    exp, log = tables
+    n = len(exp)
+    if a is b:  # a square: the cross terms cancel in pairs
+        out = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[2 * i] = exp[2 * log[x] - n]
+        return out
+    if len(a) < len(b):
+        a, b = b, a
+    la = [(i, log[x] - n) for i, x in enumerate(a) if x]
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            ly = log[y]
+            for i, lx in la:
+                out[i + j] ^= exp[lx + ly]
+    return _trim(out)
+
+
+def _divmod2(tables, a, b):
+    """Long division over a field with log tables, from the top row down."""
+    exp, log = tables
+    n = len(exp)
+    db = len(b) - 1
+    a = list(a)
+    if len(a) <= db:
+        return [], _trim(a)
+    lead = log[b[-1]]
+    lb = [(i, log[y] - n) for i, y in enumerate(b[:-1]) if y]
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db]
+        if c:
+            lc = log[c] - lead
+            if lc < 0:
+                lc += n
+            q[k] = exp[lc]
+            for i, ly in lb:
+                a[k + i] ^= exp[lc + ly]
+    return _trim(q), _trim(a[:db])
+
+
 def _add(K, a, b):
+    if K.p == 2:
+        return _add2(a, b)
     n = max(len(a), len(b))
     out = [0] * n
     for i in range(n):
@@ -41,12 +128,17 @@ def _add(K, a, b):
 
 
 def _sub(K, a, b):
+    if K.p == 2:
+        return _add2(a, b)
     return _add(K, a, [K.neg_raw(y) for y in b])
 
 
 def _mul(K, a, b):
     if not a or not b:
         return []
+    tables = _log_tables(K)
+    if tables is not None:
+        return _mul2(tables, a, b)
     out = [0] * (len(a) + len(b) - 1)
     mul, add = K.mul_raw, K.add_raw
     for i, x in enumerate(a):
@@ -66,6 +158,9 @@ def _scalar(K, a, s):
 def _divmod(K, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    tables = _log_tables(K)
+    if tables is not None:
+        return _divmod2(tables, a, b)
     a = list(a)
     db, dl = len(b) - 1, b[-1]
     inv = K.inv_raw(dl)

@@ -36,8 +36,15 @@ def _require_char2(field):
 
 
 def _is_square(f):
-    """f in F^2, i.e. df/dw = 0 (char 2, perfect constants)."""
-    return f.derivative().is_zero()
+    """f in F^2, i.e. df/dw = 0 (char 2, perfect constants).
+
+    For f = n/d in lowest terms, f' = (n'd - nd')/d^2 vanishes iff
+    n'd = nd'.  Then d divides nd', and gcd(n, d) = 1 gives d | d'; as
+    deg d' < deg d, that forces d' = 0, and then n'd = 0 gives n' = 0.
+    So f' = 0 exactly when n' = 0 and d' = 0, and only those two
+    polynomial derivatives are taken.
+    """
+    return f.num.derivative().is_zero() and f.den.derivative().is_zero()
 
 
 def _even_odd_split(x):

@@ -303,3 +303,117 @@ def pf_exp_log(p, m, modulus):
     for i, v in enumerate(exp):
         log[v] = i
     return exp, log
+
+
+def cldivmod(a, b):
+    """Quotient and remainder of GF(2)[w] ints, by shift-xor."""
+    if b == 0:
+        raise ZeroDivisionError
+    db = cldeg(b)
+    q = 0
+    while a and cldeg(a) >= db:
+        shift = cldeg(a) - db
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(p**m) = GF(p)[T]/(modulus), coefficients as encodings
+# sum(c_i * p**i), with field products reduced digit-wise by pf_mul/pf_mod
+
+
+def pf_canonical_modulus(p, m):
+    """Digits of the encoding-minimal monic irreducible of degree m."""
+    for code in range(p**m):
+        digits = []
+        v = code
+        for _ in range(m):
+            digits.append(v % p)
+            v //= p
+        coeffs = tuple(digits) + (1,)
+        if pf_is_irreducible(coeffs, p):
+            return coeffs
+    raise AssertionError("no irreducible found")
+
+
+def ext_add(a, b, p):
+    out, shift = 0, 1
+    while a or b:
+        out += (a % p + b % p) % p * shift
+        a //= p
+        b //= p
+        shift *= p
+    return out
+
+
+def ext_neg(a, p):
+    out, shift = 0, 1
+    while a:
+        out += (-a) % p * shift
+        a //= p
+        shift *= p
+    return out
+
+
+def ext_mul(a, b, p, modulus):
+    m = len(modulus) - 1
+
+    def decode(v):
+        digits = []
+        for _ in range(m):
+            digits.append(v % p)
+            v //= p
+        return pf_trim(digits)
+
+    prod = pf_mod(pf_mul(decode(a), decode(b), p), modulus, p)
+    return sum(c * p**i for i, c in enumerate(prod))
+
+
+def ext_inv(a, p, modulus):
+    """a**(q-2) by square and multiply."""
+    e = p ** (len(modulus) - 1) - 2
+    r = 1
+    while e:
+        if e & 1:
+            r = ext_mul(r, a, p, modulus)
+        a = ext_mul(a, a, p, modulus)
+        e >>= 1
+    return r
+
+
+def ext_poly_mul(a, b, p, modulus):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ext_add(out[i + j], ext_mul(x, y, p, modulus), p)
+    return pf_trim(out)
+
+
+def ext_poly_divmod(a, b, p, modulus):
+    """Schoolbook long division over GF(p**m)."""
+    a = list(pf_trim(a))
+    inv_lead = ext_inv(b[-1], p, modulus)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        c = ext_mul(a[-1], inv_lead, p, modulus)
+        q[shift] = c
+        for i, y in enumerate(b):
+            prod = ext_mul(c, y, p, modulus)
+            a[shift + i] = ext_add(a[shift + i], ext_neg(prod, p), p)
+        a = list(pf_trim(a))
+    return pf_trim(q), tuple(a)
+
+
+def ext_poly_gcd(a, b, p, modulus):
+    """The monic gcd over GF(p**m), by Euclid."""
+    a, b = pf_trim(a), pf_trim(b)
+    while b:
+        a, b = b, ext_poly_divmod(a, b, p, modulus)[1]
+    if not a:
+        return ()
+    inv = ext_inv(a[-1], p, modulus)
+    return tuple(ext_mul(c, inv, p, modulus) for c in a)

@@ -240,6 +240,15 @@ def test_degree_cap_env(monkeypatch):
         lemma_main_map(F2, {Place(F2, irreducible_poly(F2, 2))})
     with pytest.raises(SizeBoundError):
         wild_belyi(F2, places(F2, "x^2+x+1"))
+    # the head map x+1 -> 1 - x has degree 1, the composite 1 * 3^2
+    monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "8")
+    lemma_main_map(F2, places(F2, "x+1"))
+    with pytest.raises(SizeBoundError):
+        wild_belyi(F2, places(F2, "x+1"))
+    with pytest.raises(SizeBoundError):
+        wild_belyi(F2, set())
+    monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "9")
+    assert wild_belyi(F2, places(F2, "x+1")).composite.degree == 9
     monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "abc")
     with pytest.raises(PreconditionError):
         lemma_main_map(F2, places(F2, "x+1"))

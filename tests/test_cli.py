@@ -215,6 +215,14 @@ def test_oversize_input_exits_4_within_memory_cap(argv):
     assert "exceeds the cap 65536" in proc.stderr
 
 
+def test_wild_composite_degree_capped_within_memory_cap():
+    """The head map has degree 256, under the cap; the composite 256 * 258^2."""
+    proc = _run_under_memory_cap(["belyi-wild", "--p", "257", "--places", "x+1"])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert "= 17040384 exceeds the cap 65536" in proc.stderr
+
+
 def test_field_untabulated(capsys):
     rc, out, _ = run(capsys, ["field", "--p", "257", "--m", "2"])
     assert rc == 0

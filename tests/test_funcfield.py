@@ -117,6 +117,88 @@ def test_divisor_zero():
 
 
 # ---------------------------------------------------------------------------
+# rational-function arithmetic: Henrici's cancellation against the full gcd
+
+HENRICI_FIELDS = [GF(2), GF(2, 2), GF(2, 3), GF(3), GF(5), GF(3, 2)]
+
+# summed _divmod row work, rows times divisor length, of the cocycle_defect
+# below when every result is reduced by a full gcd
+FULL_GCD_COCYCLE_ROW_WORK = 109_864
+
+
+def unreduced(data, field, max_deg=4):
+    """num, den sharing a random factor; leading coefficients not monic."""
+    shared = data.draw(polys(field, 2).filter(lambda f: not f.is_zero()))
+    num = data.draw(polys(field, max_deg))
+    den = data.draw(polys(field, max_deg).filter(lambda f: not f.is_zero()))
+    return num * shared, den * shared
+
+
+def assert_reduced_as(got, num, den):
+    want = RationalFunction(num, den)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_arithmetic_matches_full_gcd(data):
+    K = data.draw(st.sampled_from(HENRICI_FIELDS))
+    f = RationalFunction(*unreduced(data, K))
+    g = RationalFunction(*unreduced(data, K))
+    # h shares the denominator of f up to a factor, so gcd(b, d) != 1
+    extra = data.draw(polys(K, 2).filter(lambda p: not p.is_zero()))
+    h = RationalFunction(data.draw(polys(K, 4)), f.den * extra)
+    # k has a constant, possibly non-monic, denominator
+    lead = data.draw(st.integers(1, K.q - 1))
+    k = RationalFunction(data.draw(polys(K, 4)), Polynomial.constant(K, lead))
+    for u, v in [(f, g), (f, h), (h, f), (f, k), (k, h)]:
+        a, b, c, d = u.num, u.den, v.num, v.den
+        assert_reduced_as(u + v, a * d + c * b, b * d)
+        assert_reduced_as(u - v, a * d - c * b, b * d)
+        assert_reduced_as(u * v, a * c, b * d)
+        if not v.is_zero():
+            assert_reduced_as(u / v, a * d, b * c)
+        assert_reduced_as((u + v) - v, a, b)
+    a, b = f.num, f.den
+    one, zero = Polynomial.constant(K, 1), Polynomial.constant(K, 0)
+    assert_reduced_as(f - f, zero, one)
+    assert_reduced_as(f + (-f), zero, one)
+    assert_reduced_as(f * 0, zero, one)
+    c = data.draw(st.integers(1, K.q - 1))
+    assert_reduced_as(f * c, a * c, b)
+    assert_reduced_as(f + c, a + b * c, b)
+    assert_reduced_as(f / c, a, b * c)
+    e = data.draw(st.integers(-3, 3))
+    if e >= 0:
+        assert_reduced_as(f**e, a**e, b**e)
+    elif not f.is_zero():
+        assert_reduced_as(f**e, b ** (-e), a ** (-e))
+
+
+def test_cocycle_divmod_work_halved(monkeypatch):
+    """Henrici's formulas take at most half the division work of a full gcd."""
+    from ramforge import polyring
+    from ramforge.pseudotame import cocycle_defect
+
+    K = GF(2, 2)
+    x = rf(K, "(z*w^7+w^4+w+1)/(w^2+z*w+1)", "w")
+    y = rf(K, "(w^5+z*w^2+z)/(w+z)", "w")
+    t = rf(K, "(w^6+w^3+z*w+1)/(w^2+w+z)", "w")
+    work = []
+    real = polyring._divmod
+
+    def counted(K, a, b):
+        work.append(max(0, len(a) - len(b) + 1) * len(b))
+        return real(K, a, b)
+
+    monkeypatch.setattr(polyring, "_divmod", counted)
+    defect = cocycle_defect(x, y, t)
+    assert sum(work) <= FULL_GCD_COCYCLE_ROW_WORK // 2
+    monkeypatch.undo()
+    assert pth_power_test(defect) is not None  # the cocycle identity
+
+
+# ---------------------------------------------------------------------------
 # valuations
 
 

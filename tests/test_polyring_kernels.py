@@ -1,0 +1,143 @@
+"""Differential tests of the raw polynomial kernels in characteristic 2.
+
+GF(2) and the tabulated GF(2**m) run on the XOR/log-domain kernels, GF(2**17)
+on the field-call fallback.  Each is checked against the reference code in
+`tests/oracles.py`: shift-xor arithmetic on ints for GF(2), and long-hand
+polynomial arithmetic with field products reduced digit-wise
+(`pf_mul`/`pf_mod`) by the independently found canonical modulus for
+GF(2**m).
+"""
+
+import random
+
+import pytest
+
+import oracles
+from ramforge import GF
+from ramforge.polyring import _add, _divmod, _ext_gcd, _gcd, _mul, _sub
+
+MAX_DEG = 64
+
+
+def to_int(c):
+    return sum(v << i for i, v in enumerate(c))
+
+
+def from_int(n):
+    return tuple(int(b) for b in reversed(bin(n)[2:])) if n else ()
+
+
+def rand_poly(rng, q, deg):
+    """Random coefficients with a nonzero leading one; deg -1 gives 0."""
+    if deg < 0:
+        return ()
+    return tuple(rng.randrange(q) for _ in range(deg)) + (rng.randrange(1, q),)
+
+
+def input_pairs(rng, q, count):
+    """(a, b) pairs up to degree MAX_DEG, half of them with a shared factor."""
+    pairs = []
+    for k in range(count):
+        if k % 2:
+            c = rand_poly(rng, q, rng.randint(1, MAX_DEG // 2))
+            u = rand_poly(rng, q, rng.randint(0, MAX_DEG - len(c) + 1))
+            v = rand_poly(rng, q, rng.randint(0, MAX_DEG - len(c) + 1))
+            pairs.append((c, u, v))
+        else:
+            a = rand_poly(rng, q, rng.randint(-1, MAX_DEG))
+            b = rand_poly(rng, q, rng.randint(0, MAX_DEG))
+            pairs.append((None, a, b))
+    return pairs
+
+
+def test_gf2_kernels_match_shift_xor():
+    K = GF(2)
+    rng = random.Random(2)
+    for shared, a, b in input_pairs(rng, 2, 40):
+        if shared is not None:
+            a = from_int(oracles.clmul(to_int(shared), to_int(a)))
+            b = from_int(oracles.clmul(to_int(shared), to_int(b)))
+        A, B = to_int(a), to_int(b)
+        assert tuple(_mul(K, a, b)) == from_int(oracles.clmul(A, B))
+        assert tuple(_mul(K, a, a)) == from_int(oracles.clmul(A, A))
+        assert tuple(_add(K, a, b)) == from_int(A ^ B)
+        assert tuple(_sub(K, a, b)) == from_int(A ^ B)
+        q, r = _divmod(K, a, b)
+        wq, wr = oracles.cldivmod(A, B)
+        assert (tuple(q), tuple(r)) == (from_int(wq), from_int(wr))
+        assert tuple(r) == from_int(oracles.clmod(A, B))
+        assert tuple(_gcd(K, a, b)) == from_int(oracles.clgcd(A, B))
+        g, s, t = _ext_gcd(K, a, b)
+        assert tuple(g) == from_int(oracles.clgcd(A, B))
+        assert oracles.clmul(to_int(s), A) ^ oracles.clmul(to_int(t), B) == (
+            oracles.clgcd(A, B)
+        )
+
+
+@pytest.mark.parametrize("m,count", [(2, 12), (3, 12), (12, 4), (17, 2)])
+def test_gf2m_kernels_match_digitwise_oracle(m, count):
+    K = GF(2, m)
+    modulus = oracles.pf_canonical_modulus(2, m)
+    assert tuple(K._mod_digits) == modulus
+    assert (K._exp is None) == (m == 17)  # GF(2**17): the fallback loop
+
+    def omul(a, b):
+        return oracles.ext_poly_mul(a, b, 2, modulus)
+
+    def oadd(a, b):
+        n = max(len(a), len(b))
+        a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+        return oracles.pf_trim([oracles.ext_add(x, y, 2) for x, y in zip(a, b)])
+
+    rng = random.Random(m)
+    for shared, a, b in input_pairs(rng, K.q, count):
+        if shared is not None:
+            a, b = omul(shared, a), omul(shared, b)
+        assert tuple(_mul(K, a, b)) == omul(a, b)
+        if K._exp is not None:  # squares take their own path in the kernel
+            assert tuple(_mul(K, b, b)) == omul(b, b)
+        assert tuple(_add(K, a, b)) == oadd(a, b)
+        assert tuple(_sub(K, a, b)) == oadd(a, b)
+        q, r = _divmod(K, a, b)
+        assert len(r) < len(b)
+        assert oadd(omul(tuple(q), b), tuple(r)) == a
+        assert (tuple(q), tuple(r)) == oracles.ext_poly_divmod(a, b, 2, modulus)
+        want = oracles.ext_poly_gcd(a, b, 2, modulus)
+        assert tuple(_gcd(K, a, b)) == want
+        g, s, t = _ext_gcd(K, a, b)
+        assert tuple(g) == want
+        assert oadd(omul(tuple(s), a), omul(tuple(t), b)) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
+def test_scalar_products_and_constant_divisors(m):
+    """Degree-0 operands, the divisions a rational-function step makes most."""
+    K = GF(2, m)
+    modulus = oracles.pf_canonical_modulus(2, m) if m > 1 else None
+    rng = random.Random(100 + m)
+    for _ in range(20):
+        a = rand_poly(rng, K.q, rng.randint(0, 12))
+        c = (rng.randrange(1, K.q),)
+        if m == 1:
+            assert tuple(_mul(K, a, c)) == a
+            assert _divmod(K, a, c) == (list(a), [])
+            continue
+        want = tuple(oracles.ext_mul(x, c[0], 2, modulus) for x in a)
+        assert tuple(_mul(K, c, a)) == want
+        q, r = _divmod(K, want, c)
+        assert (tuple(q), r) == (a, [])
+
+
+@pytest.mark.parametrize("m", [1, 2, 12])
+def test_char2_kernels_make_no_field_calls(monkeypatch, m):
+    K = GF(2, m)
+    rng = random.Random(200 + m)
+    a, b = rand_poly(rng, K.q, 40), rand_poly(rng, K.q, 17)
+    want = [f(K, a, b) for f in (_mul, _divmod, _add, _sub)]
+
+    def forbidden(*args):
+        raise AssertionError("field method called from a char-2 kernel")
+
+    for name in ("add_raw", "sub_raw", "neg_raw", "mul_raw", "inv_raw", "pow_raw"):
+        monkeypatch.setattr(type(K), name, forbidden)
+    assert [f(K, a, b) for f in (_mul, _divmod, _add, _sub)] == want

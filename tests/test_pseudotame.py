@@ -20,6 +20,7 @@ from ramforge.funcfield import (
 )
 from ramforge.polyring import Polynomial
 from ramforge.pseudotame import (
+    _is_square,
     a_invariant,
     apply_quartic_moebius,
     cocycle_defect,
@@ -109,6 +110,22 @@ def test_decompose_round_trip(seed):
 def test_decompose_rejects_square_y():
     with pytest.raises(PreconditionError):
         quartic_decompose(rf("w"), rf("w^2"))
+
+
+def bits(f):
+    return sum(c.val << i for i, c in enumerate(f.coeffs))
+
+
+@given(st.integers(0, 10**6))
+def test_is_square_reads_numerator_and_denominator(seed):
+    rng = random.Random(seed)
+    f = rand_rf(rng, nonsquare=False)
+    g = rand_rf(rng, nonsquare=False)
+    for h in (f, g * g, f * g * g, g**4 + f * f):
+        want = oracles.bits_is_square(bits(h.num)) and oracles.bits_is_square(
+            bits(h.den)
+        )
+        assert _is_square(h) == want == h.derivative().is_zero()
 
 
 # ---------------------------------------------------------------------------
