@@ -15,15 +15,12 @@ Every claim the construction makes is recomputed from scratch on the
 composite by the ramification engine; a mismatch raises InternalCheckError.
 """
 
-import dataclasses
 import functools
 import math
 import os
 
-from . import polyring
 from .config import MAX_COVER_DEGREE, MAX_DEGREE_ENV
 from .cover import (
-    RationalCover,
     compose,
     cover_create,
     fiber,
@@ -34,23 +31,18 @@ from .cover import (
 from .errors import InternalCheckError, PreconditionError, SizeBoundError
 from .funcfield import Place, RationalFunction
 from .polyring import Polynomial
+from .record import Record
 
 
-@dataclasses.dataclass(frozen=True)
-class CertCheck:
-    name: str
-    ok: bool
-    detail: str
+class CertCheck(Record):
+    __slots__ = ("name", "ok", "detail")  # str, bool, str
 
 
-@dataclasses.dataclass(frozen=True)
-class BelyiChain:
-    steps: tuple  # of RationalCover
-    step_reports: tuple  # of RamificationReport, one per step
-    composite: RationalCover
-    kind: str  # "wild" | "tame"
-    report: object  # RamificationReport of the composite
-    certificate: tuple  # of CertCheck
+class BelyiChain(Record):
+    # steps: RationalCovers; step_reports: one RamificationReport per step;
+    # composite: a RationalCover; kind: "wild" | "tame"; report: the
+    # RamificationReport of the composite; certificate: CertChecks
+    __slots__ = ("steps", "step_reports", "composite", "kind", "report", "certificate")
 
 
 def _max_degree():
@@ -144,12 +136,27 @@ def lemma_main_map(field, S, var_up="x", var_down="t"):
 # the wild step
 
 
+def _f_beta_at_root(E, beta):
+    """(r, f(r)) for f = T^(p+1) - beta*T + 1 over E and r = beta^(1/p).
+
+    beta is an encoding in E.  Since p + 1 = 1 in E, f' = T^p - beta =
+    (T - r)^p, so r is the only root of f' and gcd(f, f') = 1 iff f(r) != 0.
+    """
+    p = E.p
+    r = E.pth_root_raw(beta)
+    return r, E.add_raw(E.sub_raw(E.pow_raw(r, p + 1), E.mul_raw(beta, r)), 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _f_beta_sweep(field, search_cap=512):
-    """Verify separability of T^(p+1) - beta*T + 1 over small extensions.
+    """Verify separability of f = T^(p+1) - beta*T + 1 over small extensions.
 
-    Sweeps every beta in F_{q^j} for all j with q^j <= search_cap.  The
-    result depends on the field only, so each field is swept once.
+    Sweeps every beta in F_{q^j} for all j with q^j <= search_cap by the
+    one-root check: f' = (T - r)^p with r = beta^(1/p), so f is separable
+    iff f(r) != 0.  Each beta costs one p-th root, confirmed by r^p = beta,
+    and one evaluation instead of a polynomial gcd.  (The check always
+    passes: f(r) = r*r^p - beta*r + 1 = 1.)  The result depends on the field
+    only, so each field is swept once.
     """
     from .galois import GF
 
@@ -157,14 +164,12 @@ def _f_beta_sweep(field, search_cap=512):
     j = 1
     while field.q**j <= search_cap:
         E = GF(field.p, field.m * j)
-        T = Polynomial.x(E)
-        for beta_val in range(E.q):
-            beta = E.element(beta_val)
-            fb = T ** (p + 1) - T * beta + 1
-            if polyring.gcd(fb, fb.derivative()).degree != 0:
+        for beta in range(E.q):
+            r, value = _f_beta_at_root(E, beta)
+            if E.pow_raw(r, p) != beta or value == 0:
                 raise InternalCheckError(
-                    f"T^{p + 1} - beta*T + 1 inseparable for beta={beta} "
-                    f"over GF({E.q})"
+                    f"T^{p + 1} - beta*T + 1 inseparable for "
+                    f"beta={E.element(beta)} over GF({E.q})"
                 )
         j += 1
     return True
@@ -176,7 +181,9 @@ def wild_step(field, shift, var_up="t", var_down="u"):
     Returns (cover, report).  Its one branch place is (v=infinity), with
     fiber {(s=shift): e=1, (s=infinity): e=p, d=2p}; this is read off the
     computed report and enforced, and the auxiliary family
-    T^(p+1) - beta*T + 1 is checked separable over the small search fields.
+    f = T^(p+1) - beta*T + 1 is checked separable over the small search
+    fields: f' = (T - beta^(1/p))^p has one root, at which f takes the
+    value 1 (see _f_beta_sweep).
     """
     p = field.p
     c = field.element(shift)

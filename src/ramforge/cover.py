@@ -12,13 +12,12 @@ recomputed on every report.  A failed identity is a bug in the engine and
 raises InternalCheckError rather than ever being reported quietly.
 """
 
-import dataclasses
-
 from . import polyring
 from .errors import InternalCheckError, PreconditionError
 from .funcfield import Divisor, Place, RationalFunction, valuation
 from .linalg import RelationTracker
 from .polyring import Polynomial
+from .record import Record
 
 
 class RationalCover:
@@ -106,14 +105,9 @@ def cover_create(field, g, h=None, var_up="x", var_down="t"):
 # fibers and pushforward
 
 
-@dataclasses.dataclass(frozen=True)
-class RamPoint:
-    above: Place
-    below: Place
-    e: int
-    f: int
-    d: int
-    wild: bool
+class RamPoint(Record):
+    # above, below: Places; e, f, d: ints; wild: bool
+    __slots__ = ("above", "below", "e", "f", "d", "wild")
 
 
 def fiber(cover, Q):
@@ -193,14 +187,13 @@ def conorm(cover, D):
 # the ramification report
 
 
-@dataclasses.dataclass(frozen=True)
-class RamificationReport:
-    cover: RationalCover
-    fibers: tuple  # of (below Place, tuple of RamPoint)
-    different_divisor: Divisor
-    branch_locus: tuple  # of below Places
-    tame: bool
-    checks: dict
+class RamificationReport(Record):
+    # cover: a RationalCover; fibers: (below Place, tuple of RamPoint) pairs;
+    # different_divisor: a Divisor; branch_locus: below Places; tame: bool;
+    # checks: a dict of identity name -> bool
+    __slots__ = (
+        "cover", "fibers", "different_divisor", "branch_locus", "tame", "checks"
+    )
 
 
 def _different_divisor(cover, inf_pts):

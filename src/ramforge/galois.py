@@ -20,7 +20,8 @@ every prime l dividing q - 1.  Multiplication by g is GF(p)-linear, so the
 powers of g then follow from two small tables of products with g (one for
 the low half of the digits, one for the high half) by lookups and one
 addition each; see Field._build_tables.  Larger fields fall back to digit
-arithmetic, which is slow but exact.
+arithmetic, which is slow but exact; in characteristic 2 the digits are
+bits, and a product is carry-less on the integer encodings.
 """
 
 from .config import MAX_FIELD_SIZE, TABLE_LIMIT
@@ -77,10 +78,13 @@ class Field:
         self.q = p**m
         self._embeddings = {}
         self._mod_digits = None  # modulus coefficients, ascending, length m+1
+        self._mod_bits = None  # for p = 2: the modulus as a bit vector
         self._exp = None
         self._log = None
         if m > 1:
             self._mod_digits = _canonical_modulus_digits(p, m)
+            if p == 2:
+                self._mod_bits = sum(c << i for i, c in enumerate(self._mod_digits))
             if self.q <= TABLE_LIMIT:
                 self._build_tables()
 
@@ -208,6 +212,8 @@ class Field:
         return self.pow_raw(a, self.p ** (self.m - 1))
 
     def _mul_digits(self, a, b):
+        if self.p == 2:
+            return self._mul_bits(a, b)
         p, m = self.p, self.m
         da = self.coeffs_of(a)
         db = self.coeffs_of(b)
@@ -228,6 +234,26 @@ class Field:
             v += c * shift
             shift *= p
         return v
+
+    def _mul_bits(self, a, b):
+        """a*b in GF(2**m) by a carry-less product, reduced by the modulus bits.
+
+        The encodings are the coefficient bit vectors, so the product is
+        shift and XOR, and each bit at or above m is cleared, from the top
+        down, by XOR with the modulus shifted under it.
+        """
+        prod = 0
+        while b:
+            if b & 1:
+                prod ^= a
+            a <<= 1
+            b >>= 1
+        mod, m = self._mod_bits, self.m
+        top = prod.bit_length() - 1
+        while top >= m:
+            prod ^= mod << (top - m)
+            top = prod.bit_length() - 1
+        return prod
 
     def _build_tables(self):
         """exp/log tables from the smallest primitive element g.
@@ -265,7 +291,11 @@ class Field:
     # -- misc ----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Field) and (self.p, self.m) == (other.p, other.m)
+        # field_create hands out one object per order, so identity decides
+        # nearly every comparison
+        return self is other or (
+            isinstance(other, Field) and (self.p, self.m) == (other.p, other.m)
+        )
 
     def __hash__(self):
         return hash((self.p, self.m))

@@ -24,12 +24,12 @@ Every caller inherits the choice: gcds, Frobenius and modular powers, the
 equal-degree split and the Polynomial operators.
 """
 
-import dataclasses
 from operator import xor
 
 from .config import MAX_COVER_DEGREE
 from .errors import InternalCheckError, ParseError, PreconditionError, SizeBoundError
 from .galois import FieldElement, _prime_divisors
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # raw kernels: coefficient lists of integer encodings, ascending, trimmed
@@ -488,10 +488,10 @@ class Polynomial:
 # factorization
 
 
-@dataclasses.dataclass(frozen=True)
-class Factorization:
-    unit: FieldElement
-    factors: tuple  # of (Polynomial, int), monic, sorted by (degree, encoding)
+class Factorization(Record):
+    # unit: a FieldElement; factors: (Polynomial, int) pairs, monic, sorted
+    # by (degree, encoding)
+    __slots__ = ("unit", "factors")
 
     def expand(self):
         field = self.unit.field
@@ -734,18 +734,52 @@ def is_irreducible(f):
 
 
 def irreducibles(field, d):
-    """The monic irreducibles of degree d >= 1, in encoding order."""
+    """The monic irreducibles of degree d >= 1, in encoding order.
+
+    The first q candidates are T^d + c.  For d >= 2 with p | d their
+    derivative vanishes, so each is a p-th power and the walk starts after
+    them.
+    """
     base = field.q**d
-    for j in range(base):
+    start = field.q if d >= 2 and d % field.p == 0 else 0
+    for j in range(start, base):
         f = Polynomial._raw(field, _decode(field, base + j))
         if is_irreducible(f):
             yield f
 
 
+def _trace(K, a):
+    """The absolute trace a + a**p + ... + a**(p**(m-1)), an encoding in GF(p)."""
+    t = x = a
+    for _ in range(K.m - 1):
+        x = K.frobenius_raw(x)
+        t = K.add_raw(t, x)
+    return t
+
+
 def irreducible_poly(field, d):
-    """The canonical (encoding-minimal) monic irreducible of degree d."""
+    """The canonical (encoding-minimal) monic irreducible of degree d.
+
+    For p = 2 and d = 2 it follows from the trace.  Every T^2 + c is a
+    square, and T^2 + T + c is irreducible iff Tr(c) = 1 (the Artin-Schreier
+    criterion; Lidl and Niederreiter, Finite Fields, Ch. 3).  Tr is
+    GF(2)-linear, so Tr vanishes on every encoding below 2**k when Tr(z**i) = 0
+    for all i < k: the least c with Tr(c) = 1 is z**k, encoding 2**k, for the
+    least such k.  One Rabin test confirms T^2 + T + z**k.
+    """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
+    if field.p == 2 and d == 2:
+        for k in range(field.m):
+            if _trace(field, 2**k) == 1:
+                f = Polynomial._raw(field, (2**k, 1, 1))
+                if is_irreducible(f):
+                    return f
+                break
+        raise InternalCheckError(
+            "trace criterion gave no irreducible T^2+T+c",
+            payload={"field": [field.p, field.m]},
+        )
     return next(irreducibles(field, d))
 
 

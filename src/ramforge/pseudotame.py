@@ -13,7 +13,6 @@ F = F^2 + F^2 y (no linear algebra needed); squares are recognized by a
 vanishing derivative, which over a perfect constant field is exact.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -28,6 +27,7 @@ from .funcfield import (
 )
 from .galois import FieldElement
 from .polyring import Polynomial
+from .record import Record
 
 
 def _require_char2(field):
@@ -78,11 +78,9 @@ def _split_wrt(x, y):
     return s, r
 
 
-@dataclasses.dataclass(frozen=True)
-class QuarticDecomposition:
-    x: RationalFunction
-    y: RationalFunction
-    coords: tuple  # (x0, x1, x2, x3)
+class QuarticDecomposition(Record):
+    # x, y: RationalFunctions; coords: (x0, x1, x2, x3)
+    __slots__ = ("x", "y", "coords")
 
     def expand(self):
         x0, x1, x2, x3 = self.coords

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ramforge import GF
+from ramforge import GF, belyi
 from ramforge.belyi import (
     chain_as_dict,
     lemma_main_map,
@@ -52,13 +52,36 @@ def test_wild_step_fiber_shape(p):
 
 
 def test_f_beta_family_separable_directly():
-    """gcd(f, f') is constant for f = T^(p+1) - beta*T + 1, all beta."""
-    for field in (F2, F4, F3, GF(3, 2)):
+    """gcd(f, f') is constant for f = T^(p+1) - beta*T + 1, all beta, and the
+    one-root check of the sweep agrees with it beta by beta."""
+    for field in (F2, F4, F3, F5, GF(3, 2)):
         p = field.p
         T = Polynomial.x(field)
         for b in range(field.q):
             f = T ** (p + 1) - T * field.element(b) + 1
-            assert gcd(f, f.derivative()).is_constant()
+            df = f.derivative()
+            separable = gcd(f, df).is_constant()
+            r, value = belyi._f_beta_at_root(field, b)
+            assert df == (T - field.element(r)) ** p
+            assert f.evaluate(r).val == value
+            assert (value != 0) == separable
+            assert separable
+
+
+def test_f_beta_sweep_raises_on_a_failed_check(monkeypatch):
+    real = belyi._f_beta_at_root
+
+    def vanishing(E, beta):
+        r, value = real(E, beta)
+        return r, (0 if (E.q, beta) == (8, 5) else value)
+
+    monkeypatch.setattr(belyi, "_f_beta_at_root", vanishing)
+    belyi._f_beta_sweep.cache_clear()
+    try:
+        with pytest.raises(InternalCheckError, match=r"beta=z\^2\+1 over GF\(8\)"):
+            belyi._f_beta_sweep(F2)
+    finally:
+        belyi._f_beta_sweep.cache_clear()
 
 
 # ---------------------------------------------------------------------------

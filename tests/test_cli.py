@@ -229,6 +229,42 @@ def test_field_untabulated(capsys):
     assert "multiplicative generator: (not tabulated)" in out
 
 
+def _src_env():
+    import ramforge
+
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(ramforge.__file__).parents[1])}
+
+
+@pytest.mark.parametrize("m,quadratic", [(18, "T^2+T+z^15"), (20, "T^2+T+z^17")])
+def test_field_untabulated_char2_in_bounded_time(m, quadratic):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramforge.cli", "field", "--p", "2", "--m", str(m)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert f"least irreducible of degree 2: {quadratic}\n" in proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = (
+        "import sys, ramforge.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as e:
         main(["analyze", "x^3"])  # --p missing

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, factorization, parsing."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from ramforge.polyring import (
     gcd,
     invert_mod,
     irreducible_poly,
+    irreducibles,
     is_irreducible,
     parse_polynomial,
     roots,
@@ -147,6 +150,43 @@ def test_is_irreducible_matches_oracle(p, max_deg):
             coeffs = tuple(digits) + (1,)
             f = Polynomial(field, coeffs)
             assert is_irreducible(f) == oracles.pf_is_irreducible(coeffs, p)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_least_quadratic_by_trace_is_the_walks_first(m):
+    field = GF(2, m)
+    assert irreducible_poly(field, 2) == next(irreducibles(field, 2))
+
+
+def _monic_of_degree(p, d):
+    for code in range(p**d):
+        yield tuple((code // p**i) % p for i in range(d)) + (1,)
+
+
+@pytest.mark.parametrize("p,d", [(2, 4), (2, 6), (3, 3), (5, 5)])
+def test_irreducibles_when_p_divides_d_match_trial_division(p, d):
+    field = GF(p)
+    want = [c for c in _monic_of_degree(p, d) if oracles.pf_is_irreducible(c, p)][:12]
+    got = [f._c for f in itertools.islice(irreducibles(field, d), len(want))]
+    assert got == want
+
+
+# the first irreducibles of each walk, recorded before the walk skipped the
+# p-th powers T^d + c
+FIRST_IRREDUCIBLES = {
+    (2, 2, 2): ["T^2+T+z", "T^2+T+(z+1)", "T^2+z*T+1", "T^2+z*T+z",
+                "T^2+(z+1)*T+1", "T^2+(z+1)*T+(z+1)"],
+    (3, 2, 3): ["T^3+T+z", "T^3+T+(z+1)", "T^3+T+(z+2)", "T^3+T+2*z"],
+    (2, 3, 4): ["T^4+T+1", "T^4+T+(z+1)", "T^4+T+(z^2+1)", "T^4+T+(z^2+z+1)"],
+}
+
+
+@pytest.mark.parametrize("p,m,d", sorted(FIRST_IRREDUCIBLES))
+def test_irreducibles_when_p_divides_d_as_recorded(p, m, d):
+    want = FIRST_IRREDUCIBLES[p, m, d]
+    walk = itertools.islice(irreducibles(GF(p, m), d), len(want))
+    got = [f.to_text("T") for f in walk]
+    assert got == want
 
 
 @pytest.mark.parametrize("p,m_deg", [(2, 5), (3, 3), (5, 2)])
