@@ -198,55 +198,6 @@ class Divisor:
         return f"Divisor({self.to_text()})"
 
 
-def parse_divisor(text, field, var="x"):
-    """Parse `3*(x) - 1*(x+1) - 2*(inf)` back into a Divisor."""
-    s = text.strip()
-    if s == "0":
-        return Divisor.zero(field)
-    items = []
-    i = 0
-    sign = 1
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-":
-            sign = -1 if ch == "-" else 1
-            i += 1
-            continue
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        if j == i:
-            raise ParseError(f"expected coefficient at position {i}")
-        n = int(s[i:j])
-        k = j
-        while k < len(s) and s[k].isspace():
-            k += 1
-        if k >= len(s) or s[k] != "*":
-            raise ParseError(f"expected '*' at position {k}")
-        k += 1
-        while k < len(s) and s[k].isspace():
-            k += 1
-        if k >= len(s) or s[k] != "(":
-            raise ParseError(f"expected '(' at position {k}")
-        depth = 1
-        e = k + 1
-        while e < len(s) and depth:
-            if s[e] == "(":
-                depth += 1
-            elif s[e] == ")":
-                depth -= 1
-            e += 1
-        if depth:
-            raise ParseError("unbalanced parentheses in divisor")
-        items.append((parse_place(s[k + 1 : e - 1], field, var), sign * n))
-        i = e
-        sign = 1
-    return Divisor(field, items)
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -536,11 +487,6 @@ def divisor_of(f):
     return Divisor(K, items)
 
 
-def zero_divisor_of(f):
-    d = divisor_of(f)
-    return Divisor(f.field, [(pl, n) for pl, n in d.items() if n > 0])
-
-
 def pole_divisor_of(f):
     d = divisor_of(f)
     return Divisor(f.field, [(pl, -n) for pl, n in d.items() if n < 0])
@@ -733,26 +679,19 @@ def pth_power_test(f):
     if f.is_zero():
         return RationalFunction.constant(f.field, 0)
     K = f.field
-    p = K.p
 
     def root_of(poly):
-        if poly.degree % p:
+        # poly lies in K[x**p] iff its derivative vanishes
+        if polyring._derivative(K, poly._c):
             return None
-        out = []
-        for i in range(0, len(poly._c), p):
-            for j in range(1, p):
-                if i + j < len(poly._c) and poly._c[i + j]:
-                    return None
-            out.append(K.pth_root_raw(poly._c[i]))
-        # powers between stored blocks already checked; rebuild and verify
-        return Polynomial(K, out)
+        return Polynomial._raw(K, polyring._pth_root_poly(K, poly._c))
 
     rn = root_of(f.num)
     rd = root_of(f.den)
     if rn is None or rd is None:
         return None
     g = RationalFunction(rn, rd)
-    if g**p == f:
+    if g**K.p == f:
         return g
     return None
 

@@ -4,7 +4,9 @@ Fields come from :func:`field_create` (alias :func:`GF`) and are cached, so
 two requests for the same order hand back the same object.  An extension
 field GF(p**m) is built as GF(p)[T]/(f) where f is the *canonical* modulus:
 among all monic irreducibles of degree m over GF(p) it minimizes the integer
-encoding sum(c_i * p**i) with coefficients lifted to [0, p).
+encoding sum(c_i * p**i) with coefficients lifted to [0, p).  It is taken
+from polyring.irreducible_poly over the prime field, the one enumeration of
+irreducibles in the library.
 
 Elements are stored as a single integer in [0, q) under the same encoding,
 i.e. the base-p digits of the integer are the coordinates in the power basis
@@ -82,7 +84,9 @@ class Field:
         self._exp = None
         self._log = None
         if m > 1:
-            self._mod_digits = _canonical_modulus_digits(p, m)
+            from .polyring import irreducible_poly
+
+            self._mod_digits = irreducible_poly(field_create(p, 1), m)._c
             if p == 2:
                 self._mod_bits = sum(c << i for i, c in enumerate(self._mod_digits))
             if self.q <= TABLE_LIMIT:
@@ -120,17 +124,9 @@ class Field:
         return FieldElement(self, 0)
 
     @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    @property
     def gen(self):
         """The residue class of T (for m == 1, the element 1)."""
         return FieldElement(self, self.p if self.m > 1 else 1)
-
-    def elements(self):
-        for v in range(self.q):
-            yield FieldElement(self, v)
 
     def coeffs_of(self, v):
         out = []
@@ -413,23 +409,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.field!r}[{self}]"
-
-
-def _canonical_modulus_digits(p, m):
-    """Digits of the encoding-minimal monic irreducible of degree m over GF(p)."""
-    from .polyring import Polynomial, is_irreducible
-
-    prime = field_create(p, 1)
-    for k in range(p**m, 2 * p**m):
-        digits = []
-        v = k
-        for _ in range(m + 1):
-            digits.append(v % p)
-            v //= p
-        f = Polynomial(prime, tuple(digits))
-        if is_irreducible(f):
-            return digits
-    raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
 def field_create(p, m=1):

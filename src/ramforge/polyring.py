@@ -455,10 +455,6 @@ class Polynomial:
         a = self.field.element(alpha)
         return self.compose(Polynomial._raw(self.field, (a.val, 1)))
 
-    def reversed(self):
-        """Coefficients reversed: x**deg * self(1/x)."""
-        return Polynomial._raw(self.field, _trim(list(reversed(self._c))))
-
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other):

@@ -25,7 +25,6 @@ from .funcfield import (
     pole_divisor_of,
     valuation,
 )
-from .galois import FieldElement
 from .polyring import Polynomial
 from .record import Record
 
@@ -116,13 +115,6 @@ def a_invariant(x, y):
     return ((x1 * x3) ** 2 + x2**4) * y / den
 
 
-def verify_a_solution(x, y, a):
-    """Whether a agrees with a(x, y) modulo squares."""
-    from .funcfield import pth_power_test
-
-    return pth_power_test(a_invariant(x, y) + a) is not None
-
-
 def cocycle_defect(x, y, t):
     """a(x,y) + a(y,t) + a(t,x); always a square (that is the identity)."""
     return a_invariant(x, y) + a_invariant(y, t) + a_invariant(t, x)
@@ -187,31 +179,6 @@ def critical_places(x):
         for g, _ in polyring.factor(xp.num).factors:
             places.add(Place(K, g))
     return sorted(places, key=Place.sort_key)
-
-
-def is_pseudotame_everywhere(x):
-    return all(is_pseudotame_at(x, P) for P in critical_places(x))
-
-
-def apply_quartic_moebius(x, a, b, c, d):
-    """(a^4 x + b^4) / (c^4 x + d^4); requires ad + bc != 0."""
-    K = x.field
-    _require_char2(K)
-
-    def rf(v):
-        if isinstance(v, RationalFunction):
-            return v
-        if isinstance(v, Polynomial):
-            return RationalFunction(v)
-        return RationalFunction.constant(K, v)
-
-    a, b, c, d = rf(a), rf(b), rf(c), rf(d)
-    if (a * d - b * c).is_zero():
-        raise PreconditionError("singular quartic Moebius transform")
-    den = c**4 * x + d**4
-    if den.is_zero():
-        raise PreconditionError("transform maps x to infinity identically")
-    return (a**4 * x + b**4) / den
 
 
 # ---------------------------------------------------------------------------
@@ -365,35 +332,3 @@ def quartic_pole_reduction(x, Q):
     if not element_is_tame_at(cur, Q):
         raise InternalCheckError("reduced element is not tame at Q")
     return z, cur
-
-
-def regular_mod_squares(a, P):
-    """An a-tilde = a + s^2 regular at P, when the pole part allows it.
-
-    The pole part of a at P must contain only even exponents; each is
-    removed exactly by the square of sqrt(c) * u^(k/2) in the canonical
-    prime element u.  Odd pole exponents survive modulo squares: None.
-    """
-    K = a.field
-    _require_char2(K)
-    if P.degree > 1 and not P.is_infinite:
-        raise PreconditionError(
-            "regular_mod_squares supports degree-1 and infinite places"
-        )
-    if a.is_zero() or valuation(a, P) >= 0:
-        return a
-    if P.is_infinite:
-        u = RationalFunction.constant(K, 1) / RationalFunction(Polynomial.x(K))
-    else:
-        u = RationalFunction(P.poly)
-    s = RationalFunction.constant(K, 0)
-    for k, c in _series_terms(a, P, 0):
-        if k >= 0:
-            break
-        if k % 2 == 1:
-            return None
-        s = s + u ** (k // 2) * _sqrt_const(c)
-    out = a + s * s
-    if valuation(out, P) < 0:  # pragma: no cover
-        raise InternalCheckError("square subtraction left a pole behind")
-    return out

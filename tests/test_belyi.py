@@ -52,36 +52,35 @@ def test_wild_step_fiber_shape(p):
 
 
 def test_f_beta_family_separable_directly():
-    """gcd(f, f') is constant for f = T^(p+1) - beta*T + 1, all beta, and the
-    one-root check of the sweep agrees with it beta by beta."""
+    """f = T^(p+1) - beta*T + 1 is separable for every beta: p + 1 = 1 gives
+    f' = T^p - beta = (T - r)^p with r = beta^(1/p), and f(r) = 1."""
     for field in (F2, F4, F3, F5, GF(3, 2)):
         p = field.p
         T = Polynomial.x(field)
         for b in range(field.q):
-            f = T ** (p + 1) - T * field.element(b) + 1
-            df = f.derivative()
-            separable = gcd(f, df).is_constant()
-            r, value = belyi._f_beta_at_root(field, b)
-            assert df == (T - field.element(r)) ** p
-            assert f.evaluate(r).val == value
-            assert (value != 0) == separable
-            assert separable
+            beta = field.element(b)
+            f = T ** (p + 1) - T * beta + 1
+            r = beta.pth_root()
+            assert f.derivative() == (T - r) ** p
+            assert f.evaluate(r) == 1
+            assert gcd(f, f.derivative()).is_constant()
 
 
-def test_f_beta_sweep_raises_on_a_failed_check(monkeypatch):
-    real = belyi._f_beta_at_root
+def test_wild_step_rejects_a_finite_branch_place(monkeypatch):
+    """The branch-locus check that backs the f_beta_separable entry."""
+    real = belyi.ramification_report
 
-    def vanishing(E, beta):
-        r, value = real(E, beta)
-        return r, (0 if (E.q, beta) == (8, 5) else value)
+    def finite_branch(cov):
+        rep = real(cov)
+        fields = {name: getattr(rep, name) for name in rep.__slots__}
+        fields["branch_locus"] = (Place.from_root(F3.element(1)),) + tuple(
+            rep.branch_locus
+        )
+        return type(rep)(**fields)
 
-    monkeypatch.setattr(belyi, "_f_beta_at_root", vanishing)
-    belyi._f_beta_sweep.cache_clear()
-    try:
-        with pytest.raises(InternalCheckError, match=r"beta=z\^2\+1 over GF\(8\)"):
-            belyi._f_beta_sweep(F2)
-    finally:
-        belyi._f_beta_sweep.cache_clear()
+    monkeypatch.setattr(belyi, "ramification_report", finite_branch)
+    with pytest.raises(InternalCheckError, match="branch exactly at infinity"):
+        wild_step(F3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +164,16 @@ def test_composite_certificate_detects_a_wrong_composite(monkeypatch):
         wild_belyi(F2, set())
 
 
-def test_f_beta_sweep_runs_once_per_field():
-    from ramforge.belyi import _f_beta_sweep
+def test_chain_certificate_detects_a_wrong_e_product(monkeypatch):
+    real = belyi._chain_pushforward
 
-    _f_beta_sweep.cache_clear()
-    wild_belyi(F3, set())
-    info = _f_beta_sweep.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    def doubled(pairs, P):
+        Q, e = real(pairs, P)
+        return Q, (2 * e if P.is_infinite else e)
+
+    monkeypatch.setattr(belyi, "_chain_pushforward", doubled)
+    with pytest.raises(InternalCheckError, match="chain e-product"):
+        wild_belyi(F2, places(F2, "x^2+x+1"))
 
 
 def test_chain_as_dict_schema():

@@ -16,7 +16,6 @@ from ramforge.funcfield import (
     differential_divisor,
     divisor_of,
     laurent_expand,
-    parse_divisor,
     parse_place,
     parse_rational,
     pole_divisor_of,
@@ -24,7 +23,6 @@ from ramforge.funcfield import (
     pth_power_test,
     rr_basis,
     valuation,
-    zero_divisor_of,
 )
 from ramforge.polyring import Polynomial, parse_polynomial
 
@@ -39,6 +37,11 @@ def rf(field, text, var="x"):
 
 def pl(field, text, var="x"):
     return parse_place(text, field, var)
+
+
+def div(field, *terms):
+    """The divisor sum(n * (place)) over (place text, n) pairs in x."""
+    return Divisor(field, [(pl(field, text), n) for text, n in terms])
 
 
 def place_pool(field):
@@ -93,16 +96,15 @@ def test_parse_place_monicizes():
 
 
 def test_divisor_text_round_trip():
-    text = "3*(x) - 1*(x+1) - 2*(inf)"
-    D = parse_divisor(text, F2, "x")
-    assert D.to_text("x") == text
+    D = div(F2, ("inf", -2), ("x+1", -1), ("x", 3))
+    assert D.to_text("x") == "3*(x) - 1*(x+1) - 2*(inf)"
     assert D.degree() == 0
-    assert parse_divisor(D.to_text("x"), F2, "x") == D
+    assert Divisor(F2, D.items()) == D
 
 
 def test_divisor_arithmetic():
-    D = parse_divisor("2*(x) + 1*(inf)", F2, "x")
-    E = parse_divisor("1*(x) - 1*(inf)", F2, "x")
+    D = div(F2, ("x", 2), ("inf", 1))
+    E = div(F2, ("x", 1), ("inf", -1))
     assert (D + E).to_text("x") == "3*(x)"
     assert (D - E).coefficient(pl(F2, "inf")) == 2
     assert (2 * E).degree() == 0
@@ -228,9 +230,8 @@ def test_divisor_of_frozen():
 @given(f=nonzero_rationals(F3))
 def test_divisor_degree_zero(f):
     assert divisor_of(f).degree() == 0
-    assert zero_divisor_of(f).is_effective()
     assert pole_divisor_of(f).is_effective()
-    assert zero_divisor_of(f) - pole_divisor_of(f) == divisor_of(f)
+    assert (divisor_of(f) + pole_divisor_of(f)).is_effective()
 
 
 @given(f=nonzero_rationals(F2, 4), g=nonzero_rationals(F2, 4))
@@ -364,11 +365,11 @@ def test_pth_power_round_trip(f):
 
 
 def test_rr_basis_frozen():
-    D = parse_divisor("3*(inf)", F2, "x")
+    D = div(F2, ("inf", 3))
     basis = rr_basis(D)
     assert [b.to_text("x") for b in basis] == ["1", "x", "x^2", "x^3"]
-    assert rr_basis(parse_divisor("- 1*(x)", F2, "x")) == []
-    two = rr_basis(parse_divisor("2*(x) - 1*(x+1)", F2, "x"))
+    assert rr_basis(div(F2, ("x", -1))) == []
+    two = rr_basis(div(F2, ("x", 2), ("x+1", -1)))
     assert [b.to_text("x") for b in two] == ["(x+1)/x^2", "(x+1)/x"]
 
 
@@ -385,15 +386,15 @@ def test_rr_dimension_and_membership(data):
 
 
 def test_prescribed_element_frozen():
-    D = parse_divisor("1*(x) + 1*(x+1)", F2, "x")
+    D = div(F2, ("x", 1), ("x+1", 1))
     f = prescribed_element(D, pl(F2, "inf"), 2)
     assert f == rf(F2, "x^2+x")
 
-    g = prescribed_element(parse_divisor("1*(x)", F2, "x"), pl(F2, "x+1"), 1)
+    g = prescribed_element(div(F2, ("x", 1)), pl(F2, "x+1"), 1)
     assert g == rf(F2, "x/(x+1)")
 
     h = prescribed_element(
-        parse_divisor("1*(x)", F2, "x"),
+        div(F2, ("x", 1)),
         pl(F2, "inf"),
         3,
         zero_at=(pl(F2, "x+1"), 2),
@@ -402,13 +403,13 @@ def test_prescribed_element_frozen():
 
 
 def test_prescribed_element_minimal_n():
-    g = prescribed_element(parse_divisor("1*(x)", F2, "x"), pl(F2, "x+1"))
+    g = prescribed_element(div(F2, ("x", 1)), pl(F2, "x+1"))
     assert g == rf(F2, "x/(x+1)")
     assert pole_divisor_of(g) == Divisor(F2, [(pl(F2, "x+1"), 1)])
 
 
 def test_prescribed_element_validates():
-    D = parse_divisor("1*(x)", F2, "x")
+    D = div(F2, ("x", 1))
     with pytest.raises(PreconditionError):
         prescribed_element(D, pl(F2, "x"), 2)  # P inside supp(D)
     with pytest.raises(PreconditionError):
@@ -428,7 +429,8 @@ def test_prescribed_element_postconditions(data):
         f = prescribed_element(D, P, None, avoid=avoid)
     except PreconditionError:
         return  # honest infeasibility is a valid outcome
-    assert (zero_divisor_of(f) - D).is_effective()
+    # the zero divisor of f is (f) + (f)_inf
+    assert (divisor_of(f) + pole_divisor_of(f) - D).is_effective()
     assert tuple(pole_divisor_of(f).support()) in ((P,), ())
     for R in avoid:
         assert valuation(f, R) == 0
