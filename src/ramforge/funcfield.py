@@ -354,12 +354,6 @@ class RationalFunction:
             n.derivative() * d - n * d.derivative(), d * d
         )
 
-    def evaluate(self, x):
-        dv = self.den.evaluate(x)
-        if dv.is_zero():
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.evaluate(x) * dv.inverse()
-
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement, Polynomial)):
             other = self._coerce(other)

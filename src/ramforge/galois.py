@@ -366,9 +366,6 @@ class FieldElement:
     def inverse(self):
         return FieldElement(self.field, self.field.inv_raw(self.val))
 
-    def frobenius(self):
-        return FieldElement(self.field, self.field.frobenius_raw(self.val))
-
     def pth_root(self):
         return FieldElement(self.field, self.field.pth_root_raw(self.val))
 

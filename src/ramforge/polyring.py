@@ -226,13 +226,6 @@ def _derivative(K, a):
     return _trim(out)
 
 
-def _eval(K, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = K.add_raw(K.mul_raw(acc, x), c)
-    return acc
-
-
 def _frob_mod(K, h, f):
     """h**p mod f, via the additivity of x -> x**p.
 
@@ -438,10 +431,6 @@ class Polynomial:
     def derivative(self):
         return Polynomial._raw(self.field, _derivative(self.field, self._c))
 
-    def evaluate(self, x):
-        x = self.field.element(x)
-        return FieldElement(self.field, _eval(self.field, self._c, x.val))
-
     def compose(self, other):
         """self(other), by Horner."""
         o = self._coerce(other)
@@ -488,13 +477,6 @@ class Factorization(Record):
     # unit: a FieldElement; factors: (Polynomial, int) pairs, monic, sorted
     # by (degree, encoding)
     __slots__ = ("unit", "factors")
-
-    def expand(self):
-        field = self.unit.field
-        out = Polynomial.constant(field, self.unit)
-        for g, e in self.factors:
-            out = out * g**e
-        return out
 
     def __iter__(self):
         return iter(self.factors)

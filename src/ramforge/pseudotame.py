@@ -8,9 +8,14 @@ obstruction invariant a(x, y), its cocycle identity, and the two
 constructive lemmas (square completion at a place, quartic pole
 reduction) -- all exact, all verified on the way out.
 
-The quartic decomposition is computed by splitting twice along
-F = F^2 + F^2 y (no linear algebra needed); squares are recognized by a
-vanishing derivative, which over a perfect constant field is exact.
+The quartic decomposition splits along F = F^2 + F^2 y on polynomials
+over one common denominator: y = Y/E is split once, as Y E = C^2 + G^2 w,
+and each step P/Q = (S/T)^2 + (R/T)^2 y shuffles the coefficients of P Q
+into even and odd halves, with no gcd.  The four coordinates share the
+denominator U = D G^2 of x = N/D; each is reduced once at the end, and
+the re-expansion is checked as one cross-multiplied polynomial identity.
+Squares are recognized by a vanishing derivative, which over a perfect
+constant field is exact.
 """
 
 import itertools
@@ -46,73 +51,74 @@ def _is_square(f):
     return f.num.derivative().is_zero() and f.den.derivative().is_zero()
 
 
-def _even_odd_split(x):
-    """x = A^2 + B^2 * w: the coordinates of x in the F^2-basis {1, w}."""
-    K = x.field
-    N = x.num * x.den
-    even = [0] * ((len(N._c) + 1) // 2)
-    odd = [0] * (len(N._c) // 2)
-    for k, c in enumerate(N._c):
-        if k % 2 == 0:
-            even[k // 2] = c
-        else:
-            odd[(k - 1) // 2] = c
-    A = Polynomial(K, [K.pth_root_raw(c) for c in even])
-    B = Polynomial(K, [K.pth_root_raw(c) for c in odd])
-    return RationalFunction(A, x.den), RationalFunction(B, x.den)
+def _halves(f):
+    """f = A^2 + B^2 w for a polynomial f: returns (A, B)."""
+    K, c = f.field, f._c
+    return (
+        Polynomial._raw(K, polyring._pth_root_poly(K, c)),
+        Polynomial._raw(K, polyring._pth_root_poly(K, c[1:])),
+    )
 
 
-def _split_wrt(x, y):
-    """x = s^2 + r^2 * y for y not a square: returns (s, r).
+def _split(num, den, C, E, G):
+    """(S, R, T) with num/den = (S/T)^2 + (R/T)^2 y, where y = Y/E and
+    Y E = C^2 + G^2 w.
 
-    Uses the w-split of both x and y: with y = c^2 + e^2 w (e != 0),
-    w = (y + c^2)/e^2, and substitution gives the closed form.
+    num den = A^2 + B^2 w gives num/den = (A/den)^2 + (B/den)^2 w, and
+    w = (y + (C/E)^2) (E/G)^2; so S = A G + B C, R = B E, T = den G.
     """
-    A, B = _even_odd_split(x)
-    c, e = _even_odd_split(y)
-    if e.is_zero():
-        raise PreconditionError("y is a square; {1, y} does not split F")
-    r = B / e
-    s = A + r * c
-    return s, r
+    A, B = _halves(num * den)
+    return A * G + B * C, B * E, den * G
+
+
+def _quartic_polys(x, y):
+    """(X0, X1, X2, X3), U with x_i = X_i/U, unreduced, checked exactly."""
+    _require_char2(x.field)
+    if x.field != y.field:
+        raise PreconditionError("x and y over different fields")
+    if _is_square(y):
+        raise PreconditionError("y must not be a square")
+    N, D, Y, E = x.num, x.den, y.num, y.den
+    C, G = _halves(Y * E)
+    S, R, T = _split(N, D, C, E, G)
+    X0, X2, U = _split(S, T, C, E, G)
+    X1, X3, _ = _split(R, T, C, E, G)
+    # x = sum x_i^4 y^i times D U^4 E^3 is N U^4 E^3 = D sum X_i^4 Y^i E^(3-i),
+    # and in characteristic 2 that sum is the one below
+    expanded = E * (X0**2 * E + X2**2 * Y) ** 2 + Y * (X1**2 * E + X3**2 * Y) ** 2
+    if N * U**4 * E**3 != D * expanded:
+        raise InternalCheckError("quartic decomposition failed to re-expand")
+    return (X0, X1, X2, X3), U
 
 
 class QuarticDecomposition(Record):
     # x, y: RationalFunctions; coords: (x0, x1, x2, x3)
     __slots__ = ("x", "y", "coords")
 
-    def expand(self):
-        x0, x1, x2, x3 = self.coords
-        y = self.y
-        return x0**4 + x1**4 * y + x2**4 * y**2 + x3**4 * y**3
-
 
 def quartic_decompose(x, y):
     """The unique x0..x3 with x = x0^4 + x1^4 y + x2^4 y^2 + x3^4 y^3."""
-    _require_char2(x.field)
-    if x.field != y.field:
-        raise PreconditionError("x and y over different fields")
-    if _is_square(y):
-        raise PreconditionError("y must not be a square")
-    s, r = _split_wrt(x, y)
-    x0, x2 = _split_wrt(s, y)
-    x1, x3 = _split_wrt(r, y)
-    dec = QuarticDecomposition(x=x, y=y, coords=(x0, x1, x2, x3))
-    if dec.expand() != x:
-        raise InternalCheckError("quartic decomposition failed to re-expand")
-    return dec
+    Xs, U = _quartic_polys(x, y)
+    coords = tuple(RationalFunction(X, U) for X in Xs)
+    return QuarticDecomposition(x=x, y=y, coords=coords)
 
 
 def a_invariant(x, y):
-    """a(x, y) = ((x1^2 x3^2 + x2^4) y) / (x3^4 y^2 + x1^4)."""
+    """a(x, y) = ((x1^2 x3^2 + x2^4) y) / (x3^4 y^2 + x1^4).
+
+    With x_i = X_i/U and y = Y/E the common U cancels, and in
+    characteristic 2 the sums of fourth powers are squares:
+    a = (X1 X3 + X2^2)^2 Y E / (X3^2 Y + X1^2 E)^2, reduced once.
+    """
     _require_char2(x.field)
     if _is_square(x) or _is_square(y):
         raise PreconditionError("x and y must both be non-squares")
-    _, x1, x2, x3 = quartic_decompose(x, y).coords
-    den = x3**4 * y**2 + x1**4
+    (_, X1, X2, X3), _ = _quartic_polys(x, y)
+    Y, E = y.num, y.den
+    den = X3**2 * Y + X1**2 * E
     if den.is_zero():  # pragma: no cover
         raise InternalCheckError("a(x, y) denominator vanished for non-square x")
-    return ((x1 * x3) ** 2 + x2**4) * y / den
+    return RationalFunction((X1 * X3 + X2**2) ** 2 * Y * E, den**2)
 
 
 def cocycle_defect(x, y, t):

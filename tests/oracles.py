@@ -1,12 +1,16 @@
 """Independent reference computations for the test suite.
 
 Everything here is written against integer bit tricks (GF(2) polynomials
-as ints) or naive enumeration, sharing no algorithmic structure with the
-package under test.  Expected values frozen into the test modules were
+as ints), naive enumeration, or the package's public operators along a
+different route, sharing no algorithmic structure with the code under
+test.  Expected values frozen into the test modules were
 produced by these functions.
 """
 
 import functools
+
+from ramforge.funcfield import RationalFunction
+from ramforge.polyring import Polynomial
 
 # ---------------------------------------------------------------------------
 # GF(2)[w] encoded as python ints: bit k is the coefficient of w^k
@@ -417,3 +421,60 @@ def ext_poly_gcd(a, b, p, modulus):
         return ()
     inv = ext_inv(a[-1], p, modulus)
     return tuple(ext_mul(c, inv, p, modulus) for c in a)
+
+
+# ---------------------------------------------------------------------------
+# values and products of ramforge objects, by their public operators
+
+
+def horner(f, r):
+    """f(r) for a Polynomial f and a FieldElement r."""
+    acc = r.field.element(0)
+    for c in reversed(f.coeffs):
+        acc = acc * r + c
+    return acc
+
+
+def factorization_product(fac):
+    """unit * prod g^e of a Factorization."""
+    out = Polynomial.constant(fac.unit.field, fac.unit)
+    for g, e in fac.factors:
+        out = out * g**e
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the quartic decomposition by the two-level rational-function route:
+# every intermediate result is a reduced RationalFunction, and y is split
+# again at every step
+
+
+def even_odd_split(x):
+    """x = A^2 + B^2 * w: the coordinates of x in the F^2-basis {1, w}."""
+    K = x.field
+    N = (x.num * x.den).coeffs
+    A = Polynomial(K, [c.pth_root() for c in N[0::2]])
+    B = Polynomial(K, [c.pth_root() for c in N[1::2]])
+    return RationalFunction(A, x.den), RationalFunction(B, x.den)
+
+
+def split_wrt(x, y):
+    """x = s^2 + r^2 * y for y not a square: (s, r), from w = (y + c^2)/e^2."""
+    A, B = even_odd_split(x)
+    c, e = even_odd_split(y)
+    r = B / e
+    return A + r * c, r
+
+
+def quartic_coords(x, y):
+    """(x0, x1, x2, x3) with x = x0^4 + x1^4 y + x2^4 y^2 + x3^4 y^3."""
+    s, r = split_wrt(x, y)
+    x0, x2 = split_wrt(s, y)
+    x1, x3 = split_wrt(r, y)
+    return x0, x1, x2, x3
+
+
+def a_invariant(x, y):
+    """a(x, y) = ((x1^2 x3^2 + x2^4) y) / (x3^4 y^2 + x1^4)."""
+    _, x1, x2, x3 = quartic_coords(x, y)
+    return ((x1 * x3) ** 2 + x2**4) * y / (x3**4 * y**2 + x1**4)

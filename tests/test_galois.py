@@ -90,8 +90,7 @@ def test_element_text_frozen():
 @given(v=st.integers(0, 8))
 def test_f9_frobenius_is_cube(v):
     a = F9.element(v)
-    assert a.frobenius() == a**3
-    assert a.frobenius().pth_root() == a
+    assert (a**3).pth_root() == a
 
 
 @given(a=st.integers(0, 7), b=st.integers(0, 7), c=st.integers(0, 7))
@@ -245,7 +244,7 @@ def test_zero_derivative_rejected_before_rabin(field, text, monkeypatch):
     assert not is_irreducible(f)
     assert rabin == []
     fac = factor(f)
-    assert fac.expand() == f
+    assert oracles.factorization_product(fac) == f
     assert all(e % field.p == 0 for _, e in fac.factors)
 
 
@@ -279,7 +278,7 @@ def test_untabulated_field_arithmetic(p, m):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a ** (field.q - 1) == 1
-        assert a.frobenius().pth_root() == a
+        assert (a**p).pth_root() == a
         prod = oracles.pf_mod(oracles.pf_mul(a.coeffs, b.coeffs, p), modulus, p)
         assert (a * b).coeffs == prod + (0,) * (m - len(prod))
 
@@ -292,7 +291,7 @@ def test_untabulated_field_factoring(p, m):
         lead = rng.randrange(1, field.q)
         f = Polynomial(field, [rng.randrange(field.q) for _ in range(d)] + [lead])
         fac = factor(f)
-        assert fac.expand() == f
+        assert oracles.factorization_product(fac) == f
         assert all(is_irreducible(g) for g, _ in fac.factors)
     rs = sorted({rng.randrange(field.q) for _ in range(4)})
     f = Polynomial.constant(field, 1)

@@ -210,7 +210,7 @@ def test_irreducible_poly_is_encoding_minimal(p, m_deg):
 @given(f=nonzero_polys(F4, 5))
 def test_factor_round_trip_f4(f):
     fact = factor(f)
-    assert fact.expand() == f
+    assert oracles.factorization_product(fact) == f
     keys = [(g.degree, g.encoding()) for g, _ in fact.factors]
     assert keys == sorted(keys)
     for g, e in fact.factors:
@@ -222,7 +222,7 @@ def test_factor_round_trip_f4(f):
 @given(f=nonzero_polys(F3, 6))
 def test_factor_round_trip_f3(f):
     fact = factor(f)
-    assert fact.expand() == f
+    assert oracles.factorization_product(fact) == f
 
 
 @given(f=nonzero_polys(F2, 8))
@@ -264,7 +264,7 @@ def test_roots_are_roots(f):
     rs = roots(f)
     assert len(rs) <= f.degree
     for r in rs:
-        assert f.evaluate(r).is_zero()
+        assert oracles.horner(f, r).is_zero()
     assert [r.val for r in rs] == sorted(r.val for r in rs)
 
 
@@ -285,7 +285,7 @@ def test_invert_mod(f):
 @given(f=polys(F9, 4), a=st.integers(0, 8), b=st.integers(0, 8))
 def test_shift_matches_evaluation(f, a, b):
     alpha, x0 = F9.element(a), F9.element(b)
-    assert f.shift(alpha).evaluate(x0) == f.evaluate(x0 + alpha)
+    assert oracles.horner(f.shift(alpha), x0) == oracles.horner(f, x0 + alpha)
 
 
 # ---------------------------------------------------------------------------

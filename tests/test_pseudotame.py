@@ -3,12 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramforge import GF
-from ramforge.errors import PreconditionError
+from ramforge import GF, polyring, pseudotame
+from ramforge.errors import InternalCheckError, PreconditionError
 from ramforge.funcfield import (
     Place,
     RationalFunction,
@@ -57,6 +57,12 @@ def quartic_moebius(x, a, b, c, d):
     return (x * a**4 + b**4) / (x * c**4 + d**4)
 
 
+def expand(dec):
+    x0, x1, x2, x3 = dec.coords
+    y = dec.y
+    return x0**4 + x1**4 * y + x2**4 * y**2 + x3**4 * y**3
+
+
 def rand_rf(rng, max_deg=5, nonsquare=True):
     """Random nonzero rational function over F2(w), optionally nonsquare."""
     while True:
@@ -79,7 +85,7 @@ def rand_rf(rng, max_deg=5, nonsquare=True):
 def test_decompose_frozen():
     d = quartic_decompose(rf("w^5+w^2"), rf("w^3+1"))
     assert [c.to_text("w") for c in d.coords] == ["0", "1/w", "0", "1/w"]
-    assert d.expand() == rf("w^5+w^2")
+    assert expand(d) == rf("w^5+w^2")
 
 
 def test_decompose_polynomial_in_w_matches_exponent_classes():
@@ -109,7 +115,143 @@ def test_decompose_round_trip(seed):
     x = rand_rf(rng, nonsquare=False)
     y = rand_rf(rng)
     d = quartic_decompose(x, y)
-    assert d.expand() == x
+    assert expand(d) == x
+
+
+TOOLKIT_FIELDS = [F2, GF(2, 2), GF(2, 3)]
+
+
+@st.composite
+def elements(draw, K, max_num_deg=6):
+    """num/den over K with deg num <= max_num_deg and deg den in 0..2."""
+    num = draw(st.lists(st.integers(0, K.q - 1), max_size=max_num_deg + 1))
+    d = draw(st.integers(0, 2))
+    den = draw(st.lists(st.integers(0, K.q - 1), min_size=d, max_size=d))
+    den.append(draw(st.integers(1, K.q - 1)))
+    return RationalFunction(Polynomial(K, num), Polynomial(K, den))
+
+
+@given(data=st.data())
+@settings(max_examples=120)
+def test_decompose_and_a_match_rational_route(data):
+    """Against the two-level route that reduces every intermediate."""
+    K = data.draw(st.sampled_from(TOOLKIT_FIELDS))
+    x = data.draw(elements(K))
+    if data.draw(st.booleans()):
+        y = RationalFunction.x(K)
+    else:
+        y = data.draw(elements(K).filter(lambda f: not _is_square(f)))
+    assert quartic_decompose(x, y).coords == oracles.quartic_coords(x, y)
+    if not _is_square(x):
+        assert a_invariant(x, y) == oracles.a_invariant(x, y)
+
+
+# recorded from the two-level rational route
+FROZEN_EXTENSION = [
+    (
+        GF(2, 2),
+        ("(z*w^7+w^4+w+1)/(w^2+z*w+1)", "(w^5+z*w^2+z)/(w+z)",
+         "(w^6+w^3+z*w+1)/(w^2+w+z)"),
+        [
+            "(z*w^6+1)/(w^4+z*w^3+(z+1)*w^2+(z+1)*w+z)",
+            "(z*w^5+(z+1)*w^4+(z+1)*w^3+w)/(w^4+z*w^3+(z+1)*w^2+(z+1)*w+z)",
+            "(z*w^4+(z+1)*w^3+z*w+1)/(w^4+z*w^3+(z+1)*w^2+(z+1)*w+z)",
+            "(z*w^3+w+z)/(w^4+z*w^3+(z+1)*w^2+(z+1)*w+z)",
+        ],
+        "(w^10+z*w^9+z*w^8+w^7+(z+1)*w^6+w^5+w^4+z*w^3+(z+1)*w^2+z*w+(z+1))"
+        "/(w^10+z*w^6+z*w^4+(z+1)*w^2+1)",
+        "((z+1)*w^26+(z+1)*w^24+(z+1)*w^22+w^20+z*w^18+z*w^16+z*w^12+z*w^10"
+        "+(z+1)*w^6+z*w^2)/(w^26+w^24+w^22+w^20+w^18+w^16+w^14+w^12"
+        "+(z+1)*w^10+(z+1)*w^8+(z+1)*w^6+(z+1)*w^4+z*w^2+z)",
+    ),
+    (
+        GF(2, 2),
+        ("z*w^5+w^3+z^2", "w", "(w^3+z)/(z*w^2+1)"),
+        ["(z+1)", "z*w", "0", "1"],
+        "z*w/(w^2+(z+1))",
+        "((z+1)*w^4+w^2+1)/(w^8+z*w^4)",
+    ),
+    (
+        GF(2, 3),
+        ("(w^6+z*w^3+z^2*w+1)/(w+z)", "(z*w^3+w)/(w^2+z^2)", "w^5+z*w"),
+        [
+            "(z^2*w^2+(z+1)*w+(z^2+1))/(w+z)",
+            "((z^2+z+1)*w^2+z^2*w+(z^2+z+1))/(w+(z+1))",
+            "((z+1)*w+1)/(w+(z+1))",
+            "((z^2+1)*w^2+w)/(w^2+(z^2+1))",
+        ],
+        "((z+1)*w^9+(z+1)*w^5+(z+1)*w^3+z*w)"
+        "/(w^10+w^8+(z^2+z)*w^6+(z^2+z)*w^4+w^2+z^2)",
+        "(z^2*w^10+(z^2+z+1)*w^8+(z^2+1)*w^6+(z^2+z+1)*w^4+z*w^2+(z^2+1))"
+        "/(w^12+(z^2+z)*w^4+z^2)",
+    ),
+    (
+        GF(2, 3),
+        ("(z^2*w^7+w^2+z)/(w^2+z*w+z^2)", "w^3+z^3*w^2+w", "(w^3+1)/(w^2+w+z)"),
+        [
+            "((z^2+z)*w^5+(z+1)*w^4+z*w^3+(z+1)*w^2+z^2*w+1)"
+            "/(w^4+z*w^3+(z^2+1)*w^2+z*w+z^2)",
+            "(z*w^4+(z^2+z)*w^3+w+(z^2+z+1))/(w^4+z*w^3+(z^2+1)*w^2+z*w+z^2)",
+            "((z^2+z+1)*w^2+z*w+1)/(w^4+z*w^3+(z^2+1)*w^2+z*w+z^2)",
+            "((z^2+z)*w^3+(z+1)*w+(z^2+z))/(w^4+z*w^3+(z^2+1)*w^2+z*w+z^2)",
+        ],
+        "(z*w^11+(z^2+z)*w^10+z*w^9+w^7+(z+1)*w^6+(z^2+1)*w^5+(z^2+z+1)*w^4"
+        "+w^3+z^2*w^2+(z^2+1)*w)/(w^12+z^2*w^10+w^8+w^6+w^4+(z^2+1)*w^2+1)",
+        "((z^2+z)*w^26+w^24+z^2*w^22+(z^2+z+1)*w^20+z*w^18+(z^2+z)*w^16"
+        "+z^2*w^14+(z^2+z+1)*w^12+(z^2+z+1)*w^10+z*w^8+(z^2+1)*w^6+(z+1)*w^4"
+        "+z^2*w^2+1)/(w^28+(z+1)*w^24+(z^2+z)*w^20+(z^2+1)*w^16+w^12"
+        "+(z+1)*w^8+z*w^4+1)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "K,xyt,coords,a,defect", FROZEN_EXTENSION, ids=["gf4", "gf4-w", "gf8", "gf8-poly"]
+)
+def test_toolkit_frozen_over_extensions(K, xyt, coords, a, defect):
+    x, y, t = (parse_rational(s, K, "w") for s in xyt)
+    assert [c.to_text("w") for c in quartic_decompose(x, y).coords] == coords
+    assert a_invariant(x, y).to_text("w") == a
+    assert cocycle_defect(x, y, t).to_text("w") == defect
+
+
+def test_broken_split_is_caught(monkeypatch):
+    """One flipped coefficient fails the cross-multiplied re-expansion."""
+    K, (xs, ys, _), _, _, _ = FROZEN_EXTENSION[0]
+    x, y = parse_rational(xs, K, "w"), parse_rational(ys, K, "w")
+    real = pseudotame._split
+
+    def flipped(*args):
+        S, R, T = real(*args)
+        return S + 1, R, T
+
+    monkeypatch.setattr(pseudotame, "_split", flipped)
+    with pytest.raises(InternalCheckError):
+        quartic_decompose(x, y)
+    with pytest.raises(InternalCheckError):
+        a_invariant(x, y)
+
+
+def test_gcd_count(monkeypatch):
+    """One gcd per coordinate; one per a-invariant plus two per sum."""
+    # the inputs of test_funcfield.test_cocycle_divmod_work_halved
+    K, xyt, _, _, _ = FROZEN_EXTENSION[0]
+    x, y, t = (parse_rational(s, K, "w") for s in xyt)
+    calls = []
+    real = polyring._gcd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyring, "_gcd", counted)
+    for u, v in [(x, y), (y, t), (t, x)]:
+        calls.clear()
+        quartic_decompose(u, v)
+        assert len(calls) <= 4
+    calls.clear()
+    cocycle_defect(x, y, t)
+    assert len(calls) <= 3 + 2 * 2
 
 
 def test_decompose_rejects_square_y():

@@ -1,4 +1,5 @@
-"""Every exported name does work for the library, its scripts or its benchmark."""
+"""Every exported name and public method does work for the library, its
+scripts or its benchmark."""
 
 import ast
 import pathlib
@@ -35,10 +36,32 @@ def _references(path):
     return found
 
 
-def test_every_export_has_a_caller_outside_tests():
+def _used_names():
     files = [f for f in PACKAGE.glob("*.py") if f.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py"))
     files += sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*(_references(f) for f in files))
+    return set().union(*(_references(f) for f in files))
+
+
+def _public_methods():
+    """(class, method) for each public method of a public library class."""
+    for f in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    yield node.name, item.name
+
+
+def test_every_export_has_a_caller_outside_tests():
     # a name leaves TEST_ONLY once it gains a caller
-    assert sorted(set(ramforge.__all__) - used) == sorted(TEST_ONLY)
+    assert sorted(set(ramforge.__all__) - _used_names()) == sorted(TEST_ONLY)
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    """By name: a method counts as used when any library, script or
+    benchmark file reads an attribute of that name outside its own def."""
+    used = _used_names()
+    unused = [f"{c}.{m}" for c, m in _public_methods() if m not in used]
+    assert unused == []
