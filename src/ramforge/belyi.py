@@ -99,7 +99,7 @@ def lemma_main_map(field, S, var_up="x", var_down="t"):
     rep = ramification_report(cov)
 
     t0 = Place(field, Polynomial.x(field))  # (t=0)
-    t1 = Place(field, Polynomial(field, [(-field.element(1)).val, 1]))  # (t=1)
+    t1 = Place.from_root(field.element(1))  # (t=1)
     tinf = Place.infinite(field)
     for P in S:
         if pushforward_place(cov, P) != t0:
@@ -340,8 +340,7 @@ def tame_belyi_genus0(field, S, var_up="x"):
     """Single-step tame chain: branch locus within {(t=1), (t=infinity)}."""
     cov, rep = lemma_main_map(field, S, var_up=var_up, var_down="t")
     n = cov.degree
-    field_one = field.element(1)
-    t1 = Place(field, Polynomial(field, [(-field_one).val, 1]))
+    t1 = Place.from_root(field.element(1))
     tinf = Place.infinite(field)
     cert = []
     cert.append(_require(rep.tame, "tame", f"degree {n} prime to {field.p}"))

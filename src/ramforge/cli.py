@@ -174,10 +174,8 @@ def _cmd_belyi_tame(args):
     return chain_as_dict(chain), _chain_text(chain)
 
 
-def _completion_partner(x, avoid):
-    """First small place that is neither in avoid nor a pole of x."""
-    field = x.field
-    poles = set(pole_divisor_of(x).support())
+def _completion_partner(field, poles, avoid):
+    """First degree-1 place, then infinity, that is neither avoid nor a pole."""
     candidates = [Place.from_root(field.element(v)) for v in range(field.q)]
     candidates.append(Place.infinite(field))
     for place in candidates:
@@ -216,7 +214,7 @@ def _cmd_pseudotame(args):
         witness = None
         poles = set(pole_divisor_of(x).support())
         if not facts["tame"] and place not in poles:
-            partner = _completion_partner(x, place)
+            partner = _completion_partner(field, poles, place)
             if partner is not None:
                 try:
                     z = square_completion(x, place, partner, args.budget)

@@ -110,6 +110,15 @@ class RamPoint(Record):
     __slots__ = ("above", "below", "e", "f", "d", "wild")
 
 
+def _homogenize(poly, g, h, n):
+    """sum c_i g^i h^(n-i) over the coefficients c_i of poly, deg poly <= n."""
+    acc = Polynomial.constant(g.field, 0)
+    for i, c in enumerate(poly.coeffs):
+        if not c.is_zero():
+            acc = acc + c * g**i * h ** (n - i)
+    return acc
+
+
 def fiber(cover, Q):
     """The places above Q with ramification indices and residue degrees.
 
@@ -131,11 +140,7 @@ def fiber(cover, Q):
             pts.append((Place(K, pl), e, pl.degree))
     else:
         s = Q.degree
-        qc = Q.poly.coeffs
-        N = Polynomial.constant(K, 0)
-        for i, c in enumerate(qc):
-            if not c.is_zero():
-                N = N + c * g**i * h ** (s - i)
+        N = _homogenize(Q.poly, g, h, s)
         if N.degree != n * s:  # pragma: no cover
             raise InternalCheckError("fiber polynomial degree mismatch")
         for pl, e in polyring.factor(N).factors:
@@ -317,16 +322,8 @@ def compose(inner, outer):
     K = inner.field
     g1, h1 = inner.map.num, inner.map.den
     n2 = outer.degree
-
-    def homogenize(poly):
-        acc = Polynomial.constant(K, 0)
-        for i, c in enumerate(poly.coeffs):
-            if not c.is_zero():
-                acc = acc + c * g1**i * h1 ** (n2 - i)
-        return acc
-
-    N = homogenize(outer.map.num)
-    D = homogenize(outer.map.den)
+    N = _homogenize(outer.map.num, g1, h1, n2)
+    D = _homogenize(outer.map.den, g1, h1, n2)
     comp = cover_create(K, N, D, var_up=inner.var_up, var_down=outer.var_down)
     if comp.degree != inner.degree * outer.degree:
         raise InternalCheckError(

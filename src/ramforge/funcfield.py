@@ -6,8 +6,11 @@ infinite place.  Divisors are immutable sorted coefficient maps.  Laurent
 expansions are taken in a fixed prime element per place: x - alpha at a
 degree-1 finite place, 1/x at infinity, and for higher-degree places the
 function is base-changed to GF(q^d) where the place splits off a canonical
-(encoding-minimal) root.  Riemann-Roch spaces are written down explicitly,
-which is what genus 0 buys us.
+(encoding-minimal) root.  Every expansion is one long division in
+polyring: the numerator and denominator, shifted to the place and
+reversed, divide to the reversed series, so expansions run on the same
+per-field kernels as every other polynomial.  Riemann-Roch spaces are
+written down explicitly, which is what genus 0 buys us.
 """
 
 import math
@@ -482,8 +485,14 @@ def divisor_of(f):
 
 
 def pole_divisor_of(f):
-    d = divisor_of(f)
-    return Divisor(f.field, [(pl, -n) for pl, n in d.items() if n < 0])
+    """The poles of f: the factors of its denominator, and infinity."""
+    if f.is_zero():
+        raise PreconditionError("the zero function has no divisor")
+    K = f.field
+    items = [(Place.infinite(K), max(f.num.degree - f.den.degree, 0))]
+    if f.den.degree > 0:
+        items += [(Place(K, g), e) for g, e in polyring.factor(f.den).factors]
+    return Divisor(K, items)
 
 
 # ---------------------------------------------------------------------------
@@ -509,23 +518,12 @@ class LaurentSeries:
     def precision(self):
         return len(self.coeffs)
 
-    def coefficient(self, k):
-        i = k - self.start
-        if i < 0:
-            return self.coeff_field.element(0)
-        if i >= len(self.coeffs):
-            raise PreconditionError(f"exponent {k} beyond precision")
-        return self.coeffs[i]
-
     def terms(self):
         return [
             (self.start + i, c)
             for i, c in enumerate(self.coeffs)
             if not c.is_zero()
         ]
-
-    def is_zero(self):
-        return not self.terms()
 
     def to_text(self, var="u"):
         terms = self.terms()
@@ -553,33 +551,27 @@ class LaurentSeries:
 def _series_quotient(K, num, den, prec):
     """Laurent coefficients of num/den in the local parameter u.
 
-    num and den are raw ascending coefficient lists over K, den != 0.
-    Returns (start, coeffs list of raw values, length prec).
+    num and den are nonzero raw ascending coefficient sequences over K;
+    returns (start, prec raw coefficients).  With the leading zeros
+    stripped, n cut to prec terms and e = deg d,
+
+        u^(prec-1+e) n(1/u) = (u^e d(1/u)) (u^(prec-1) s(1/u)) + r,
+
+    deg r < e, so the series s is the reversed quotient of one long
+    division in polyring.
     """
     a = 0
-    while a < len(num) and num[a] == 0:
+    while num[a] == 0:
         a += 1
-    if a == len(num):
-        return 0, [0] * prec
     b = 0
     while den[b] == 0:
         b += 1
-    n = num[a:]
+    n = num[a : a + prec]
     d = den[b:]
-    inv0 = K.inv_raw(d[0])
-    inv = [inv0]
-    for k in range(1, prec):
-        s = 0
-        for j in range(1, min(k, len(d) - 1) + 1):
-            s = K.add_raw(s, K.mul_raw(d[j], inv[k - j]))
-        inv.append(K.mul_raw(K.neg_raw(s), inv0))
-    out = []
-    for k in range(prec):
-        s = 0
-        for j in range(min(k, len(n) - 1) + 1):
-            s = K.add_raw(s, K.mul_raw(n[j], inv[k - j]))
-        out.append(s)
-    return a - b, out
+    top = [0] * (len(d) - 1 + prec - len(n))
+    top += reversed(n)
+    q, _ = polyring._divmod(K, top, d[::-1])
+    return a - b, q[::-1]
 
 
 def default_precision(f):
@@ -604,39 +596,26 @@ def laurent_expand(f, place, precision=None):
         raise SizeBoundError(
             f"precision {precision} exceeds the cap {MAX_COVER_DEGREE}"
         )
-    K = f.field
+    K = R = f.field  # R: the residue field of the place
     if place.is_infinite:
-        num = list(reversed(f.num._c))
-        den = list(reversed(f.den._c))
         pad = f.den.degree - f.num.degree
-        if pad > 0:
-            num = [0] * pad + num
-        elif pad < 0:
-            den = [0] * (-pad) + den
-        start, raw = _series_quotient(K, num, den, precision)
-        coeffs = [FieldElement(K, v) for v in raw]
-        return LaurentSeries(place, start, coeffs, K)
-    d = place.degree
-    if d == 1:
+        num = (0,) * pad + f.num._c[::-1]
+        den = (0,) * -pad + f.den._c[::-1]
+    elif place.degree == 1:
         alpha = -place.poly.coefficient(0)
-        num = f.num.shift(alpha)
-        den = f.den.shift(alpha)
-        start, raw = _series_quotient(K, list(num._c), list(den._c), precision)
-        coeffs = [FieldElement(K, v) for v in raw]
-        return LaurentSeries(place, start, coeffs, K)
-    E = GF(K.p, K.m * d)
-    lift_num = Polynomial(E, [embed(K, E, c) for c in f.num.coeffs])
-    lift_den = Polynomial(E, [embed(K, E, c) for c in f.den.coeffs])
-    lift_pl = Polynomial(E, [embed(K, E, c) for c in place.poly.coeffs])
-    rts = polyring.roots(lift_pl)
-    if not rts:
-        raise PreconditionError("place polynomial has no root after base change")
-    alpha = rts[0]
-    num = lift_num.shift(alpha)
-    den = lift_den.shift(alpha)
-    start, raw = _series_quotient(E, list(num._c), list(den._c), precision)
-    coeffs = [FieldElement(E, v) for v in raw]
-    return LaurentSeries(place, start, coeffs, E)
+        num, den = f.num.shift(alpha)._c, f.den.shift(alpha)._c
+    else:
+        R = GF(K.p, K.m * place.degree)
+
+        def lift(poly):
+            return Polynomial(R, [embed(K, R, c) for c in poly.coeffs])
+
+        rts = polyring.roots(lift(place.poly))
+        if not rts:
+            raise PreconditionError("place polynomial has no root after base change")
+        num, den = lift(f.num).shift(rts[0])._c, lift(f.den).shift(rts[0])._c
+    start, raw = _series_quotient(R, num, den, precision)
+    return LaurentSeries(place, start, [FieldElement(R, v) for v in raw], R)
 
 
 def uniformizer_text(place, var="x"):

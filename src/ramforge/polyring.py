@@ -21,7 +21,8 @@ coefficients are read once per call and the log of each quotient
 coefficient once per row, so the inner loops make no Field method call.
 Other fields run the generic loops over Field.add_raw and Field.mul_raw.
 Every caller inherits the choice: gcds, Frobenius and modular powers, the
-equal-degree split and the Polynomial operators.
+equal-degree split, the Polynomial operators and the Laurent expansions
+of funcfield, each one long division.
 """
 
 from operator import xor

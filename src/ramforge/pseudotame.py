@@ -16,6 +16,11 @@ denominator U = D G^2 of x = N/D; each is reduced once at the end, and
 the re-expansion is checked as one cross-multiplied polynomial identity.
 Squares are recognized by a vanishing derivative, which over a perfect
 constant field is exact.
+
+The local layer reads x = N/D directly: dx/dw = W/D^2 with W = N'D - ND',
+left unreduced, so v_P(dx) = v_P(W) - 2 v_P(D) at a finite place and
+2 deg D - deg W - 2 at infinity, and the zeros of dx/dw lie among the
+factors of W.  No rational-function derivative is formed.
 """
 
 import itertools
@@ -26,6 +31,7 @@ from .errors import InternalCheckError, PreconditionError
 from .funcfield import (
     Place,
     RationalFunction,
+    _poly_valuation,
     laurent_expand,
     pole_divisor_of,
     valuation,
@@ -130,13 +136,23 @@ def cocycle_defect(x, y, t):
 # local tameness and pseudo-tameness
 
 
+def _wronskian(x):
+    """W = N'D - ND' for x = N/D, so that dx/dw = W/D^2 (not reduced)."""
+    N, D = x.num, x.den
+    return N.derivative() * D - N * D.derivative()
+
+
 def v_dx(x, P):
-    """Valuation of the differential dx at P (dw carries -2 at infinity)."""
-    xp = x.derivative()
-    if xp.is_zero():
+    """Valuation of the differential dx at P (dw carries -2 at infinity).
+
+    Valuations add, so v_P(dx/dw) = v_P(W) - 2 v_P(D) needs no gcd.
+    """
+    W = _wronskian(x)
+    if W.is_zero():
         raise PreconditionError("dx = 0: x is a square")
-    v = valuation(xp, P)
-    return v - 2 if P.is_infinite else v
+    if P.is_infinite:
+        return 2 * x.den.degree - W.degree - 2
+    return _poly_valuation(W, P.poly) - 2 * _poly_valuation(x.den, P.poly)
 
 
 def _series_terms(x, P, upto):
@@ -148,7 +164,7 @@ def _series_terms(x, P, upto):
 
 def element_is_tame_at(x, P):
     """Tame at P: the leading nonconstant exponent of x at P is odd."""
-    if x.derivative().is_zero():
+    if _is_square(x):
         return False
     bound = v_dx(x, P) + 2
     for k, _ in _series_terms(x, P, bound):
@@ -160,7 +176,7 @@ def element_is_tame_at(x, P):
 def is_pseudotame_at(x, P):
     """Every nonzero exponent below v_P(dx) + 1 is divisible by 4."""
     _require_char2(x.field)
-    if x.derivative().is_zero():
+    if _is_square(x):
         raise PreconditionError("x is a square; pseudo-tameness is undefined")
     bound = v_dx(x, P) + 1
     for k, _ in _series_terms(x, P, bound):
@@ -174,16 +190,14 @@ def critical_places(x):
 
     Everywhere else v_P(dx) = 0 and x is regular, so the criterion holds
     trivially; the sweep covers the poles of x, the zeros of dx/dw, and
-    the infinite place.
+    the infinite place.  With dx/dw = W/D^2, those zeros lie among the
+    factors of W; a factor of W that divides D is a pole anyway.
     """
     K = x.field
-    places = {Place.infinite(K)}
-    for P, _ in pole_divisor_of(x).items():
-        places.add(P)
-    xp = x.derivative()
-    if not xp.is_zero():
-        for g, _ in polyring.factor(xp.num).factors:
-            places.add(Place(K, g))
+    places = {Place.infinite(K), *pole_divisor_of(x).support()}
+    W = _wronskian(x)
+    if W.degree > 0:
+        places.update(Place(K, g) for g, _ in polyring.factor(W).factors)
     return sorted(places, key=Place.sort_key)
 
 
@@ -203,14 +217,6 @@ def _place_stream(field, forbidden):
     for P in itertools.chain(linear, [Place.infinite(field)], higher):
         if P not in forbidden:
             yield P
-
-
-def _sqrt_const(c):
-    return c.pth_root()
-
-
-def _fourth_root_const(c):
-    return c.pth_root().pth_root()
 
 
 def _exact_order_element(basis, P, n):
@@ -285,7 +291,7 @@ def square_completion(x, P, Q, pole_budget=None):
         if z0 is None:  # pragma: no cover
             raise InternalCheckError("no exact-order element in L(R - nP)")
         b = laurent_expand(z0, P, 1).coeffs[0]
-        z = z + z0 * (_sqrt_const(coeff) / b)
+        z = z + z0 * (coeff.pth_root() / b)
     raise InternalCheckError("square completion failed to terminate")
 
 
@@ -324,7 +330,7 @@ def quartic_pole_reduction(x, Q):
             break
         k = -v // 4
         lead = laurent_expand(cur, Q, 1).coeffs[0]
-        step = base**k * _fourth_root_const(lead)
+        step = base**k * lead.pth_root().pth_root()
         z = z + step
         nxt = cur + step**4
         if not (valuation(nxt, Q) > v):  # pragma: no cover

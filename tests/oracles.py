@@ -10,6 +10,7 @@ produced by these functions.
 import functools
 
 from ramforge.funcfield import RationalFunction
+from ramforge.galois import GF, embed
 from ramforge.polyring import Polynomial
 
 # ---------------------------------------------------------------------------
@@ -441,6 +442,71 @@ def factorization_product(fac):
     for g, e in fac.factors:
         out = out * g**e
     return out
+
+
+# ---------------------------------------------------------------------------
+# Laurent expansions by a power-series inverse in Field calls, with the
+# infinite place read through x = 1/u
+
+
+def series_quotient(K, num, den, prec):
+    """(start, prec raw coefficients) of num/den in u, for raw ascending
+    coefficient lists: the inverse of den term by term, then one product."""
+    a = 0
+    while a < len(num) and num[a] == 0:
+        a += 1
+    if a == len(num):
+        return 0, [0] * prec
+    b = 0
+    while den[b] == 0:
+        b += 1
+    n = num[a:]
+    d = den[b:]
+    inv0 = K.inv_raw(d[0])
+    inv = [inv0]
+    for k in range(1, prec):
+        s = 0
+        for j in range(1, min(k, len(d) - 1) + 1):
+            s = K.add_raw(s, K.mul_raw(d[j], inv[k - j]))
+        inv.append(K.mul_raw(K.neg_raw(s), inv0))
+    out = []
+    for k in range(prec):
+        s = 0
+        for j in range(min(k, len(n) - 1) + 1):
+            s = K.add_raw(s, K.mul_raw(n[j], inv[k - j]))
+        out.append(s)
+    return a - b, out
+
+
+def laurent_reference(f, place, prec):
+    """(start, coefficient field, prec raw coefficients) of f at place.
+
+    Infinity: f(1/u) = u^(deg den - deg num) rev(num)/rev(den).  A finite
+    place of degree d: the place's least root alpha in GF(q^d), found by
+    trying every element, and the Taylor shift x -> u + alpha there.
+    """
+    K = f.field
+    if place.is_infinite:
+        start, raw = series_quotient(
+            K, list(reversed(f.num._c)), list(reversed(f.den._c)), prec
+        )
+        return start + f.den.degree - f.num.degree, K, raw
+    R = GF(K.p, K.m * place.degree)
+
+    def lift(poly):
+        return Polynomial(R, [embed(K, R, c) for c in poly.coeffs])
+
+    alpha = next(
+        r for r in map(R.element, range(R.q)) if horner(lift(place.poly), r) == 0
+    )
+    u_plus_alpha = Polynomial(R, [alpha, 1])
+    start, raw = series_quotient(
+        R,
+        list(lift(f.num).compose(u_plus_alpha)._c),
+        list(lift(f.den).compose(u_plus_alpha)._c),
+        prec,
+    )
+    return start, R, raw
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,39 @@ def test_laurent_text_shape(capsys):
     )
 
 
+def test_laurent_text_at_degree_two_place(capsys):
+    rc, out, _ = run(
+        capsys,
+        ["laurent", "--p", "2", "x/(x^2+x+1)", "--at", "x^2+x+1", "--prec", "6"],
+    )
+    assert rc == 0
+    assert out == (
+        "expansion of x/(x^2+x+1) at (x^2+x+1=0):\n"
+        "z*u^-1+(z+1)+(z+1)*u+(z+1)*u^2+(z+1)*u^3+(z+1)*u^4 + O(u^5)\n"
+        "u = x-alpha, alpha the canonical root of x^2+x+1 in GF(2^2)\n"
+    )
+
+
+def test_pseudotame_of_zero_exit_3(capsys):
+    rc, out, err = run(capsys, ["pseudotame", "--p", "2", "0"])
+    assert (rc, out) == (3, "")
+    assert err == "ramforge: error: the zero function has no divisor\n"
+
+
+def test_pseudotame_partner_is_degree_one_or_infinity(capsys):
+    """w=0 is avoided, w=1 and infinity are poles: no completion is tried,
+    though a degree-2 place would be free."""
+    rc, out, _ = run(
+        capsys, ["pseudotame", "--p", "2", "(w^2+w^3+w^5)/(w+1)", "--at", "w"]
+    )
+    assert rc == 0
+    assert out == (
+        "element: (w^5+w^3+w^2)/(w+1) over GF(2)\n"
+        "place: (w=0)\n"
+        "v_dx=4 tame=no pseudotame=no\n"
+    )
+
+
 def test_factor_with_unit(capsys):
     rc, out, _ = run(capsys, ["factor", "--p", "5", "2*T^3+2*T"])
     assert rc == 0

@@ -1,11 +1,14 @@
 """Places, divisors, valuations, Laurent data, Riemann-Roch at genus 0."""
 
+import functools
+import itertools
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ramforge import GF
 from ramforge.config import MAX_COVER_DEGREE
 from ramforge.errors import ParseError, PreconditionError, SizeBoundError
@@ -24,7 +27,7 @@ from ramforge.funcfield import (
     rr_basis,
     valuation,
 )
-from ramforge.polyring import Polynomial, parse_polynomial
+from ramforge.polyring import Polynomial, irreducibles, parse_polynomial
 
 F2 = GF(2)
 F3 = GF(3)
@@ -320,6 +323,37 @@ def test_laurent_reconstructs_function(f, root):
         partial = partial + RationalFunction.constant(F3, c) * u**k
     diff = f - partial
     assert diff.is_zero() or valuation(diff, P) >= s.start + prec
+
+
+LAURENT_FIELDS = [GF(2), GF(2, 2), GF(2, 3), F3, F5, GF(3, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def small_places(field, d):
+    """The first few places of degree d (infinity for d = 0)."""
+    if d == 0:
+        return (Place.infinite(field),)
+    return tuple(Place(field, g) for g in itertools.islice(irreducibles(field, d), 4))
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_laurent_matches_field_call_reference(data):
+    """One long division against the power-series inverse of oracles: at
+    infinity and at places of degree 1-3, precisions 1-40, numerators
+    longer than the precision and denominators divisible by the place."""
+    K = data.draw(st.sampled_from(LAURENT_FIELDS))
+    P = data.draw(st.sampled_from(small_places(K, data.draw(st.integers(0, 3)))))
+    prec = data.draw(st.integers(1, 40))
+    num = data.draw(polys(K, 45).filter(lambda f: not f.is_zero()))
+    den = data.draw(polys(K, 6).filter(lambda f: not f.is_zero()))
+    if not P.is_infinite:
+        den = den * P.poly ** data.draw(st.integers(0, 2))
+    f = RationalFunction(num, den)
+    s = laurent_expand(f, P, prec)
+    start, R, raw = oracles.laurent_reference(f, P, prec)
+    assert s.coeff_field == R
+    assert (s.start, [c.val for c in s.coeffs]) == (start, raw)
 
 
 # ---------------------------------------------------------------------------

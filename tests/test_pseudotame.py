@@ -406,6 +406,67 @@ def test_critical_places_frozen():
     ]
 
 
+def test_critical_places_of_zero_raise():
+    with pytest.raises(PreconditionError, match="the zero function has no divisor"):
+        critical_places(rf("0"))
+    with pytest.raises(PreconditionError, match="the zero function has no divisor"):
+        pole_divisor_of(rf("0"))
+
+
+@given(data=st.data())
+@settings(max_examples=40)
+def test_local_layer_matches_derivative_route(data):
+    """v_dx and critical_places on x = N/D against the reduced derivative
+    x' and its valuation, over GF(2), GF(4) and GF(8), at every critical
+    place (degree-2 poles included)."""
+    K = data.draw(st.sampled_from([GF(2), GF(2, 2), GF(2, 3)]))
+    coeffs = st.integers(0, K.q - 1)
+    num = Polynomial(K, data.draw(st.lists(coeffs, min_size=1, max_size=8)))
+    den = Polynomial(K, data.draw(st.lists(coeffs, min_size=1, max_size=4)))
+    if den.is_zero() or num.is_zero():
+        return
+    x = RationalFunction(num, den)
+    if _is_square(x):
+        return
+    xp = x.derivative()
+    want = {Place.infinite(K), *pole_divisor_of(x).support()}
+    want.update(Place(K, g) for g, _ in polyring.factor(xp.num).factors)
+    spots = critical_places(x)
+    assert spots == sorted(want, key=Place.sort_key)
+    for P in spots:
+        assert v_dx(x, P) == valuation(xp, P) - (2 if P.is_infinite else 0)
+
+
+def test_local_layer_work_counts(monkeypatch):
+    """The local layer reads x = N/D: no rational-function derivative, and
+    the pole divisor factors the denominator alone, if it is not constant."""
+    derivatives, factors = [], []
+    real_derivative, real_factor = RationalFunction.derivative, polyring.factor
+
+    def counted_derivative(f):
+        derivatives.append(f)
+        return real_derivative(f)
+
+    def counted_factor(f):
+        factors.append(f)
+        return real_factor(f)
+
+    monkeypatch.setattr(RationalFunction, "derivative", counted_derivative)
+    monkeypatch.setattr(polyring, "factor", counted_factor)
+    x = rf("(w^7+w^4+w+1)/(w^3+w^2+w)")
+    for P in critical_places(x):
+        v_dx(x, P)
+        element_is_tame_at(x, P)
+        is_pseudotame_at(x, P)
+    assert derivatives == []
+    factors.clear()
+    assert pole_divisor_of(x).to_text("w") == "1*(w) + 1*(w^2+w+1) + 4*(inf)"
+    assert factors == [x.den]
+    factors.clear()
+    assert pole_divisor_of(rf("w^3+w")).to_text("w") == "3*(inf)"
+    assert factors == []
+
+
 def test_quartic_moebius():
     g = quartic_moebius(rf("w^5"), 0, 1, 1, 0)
     assert g.to_text("w") == "1/w^5"

@@ -61,7 +61,14 @@ def test_every_export_has_a_caller_outside_tests():
 
 def test_every_public_method_has_a_caller_outside_tests():
     """By name: a method counts as used when any library, script or
-    benchmark file reads an attribute of that name outside its own def."""
+    benchmark file reads an attribute of that name outside its own def.
+
+    So a method that shares its name with a used one passes unseen: the
+    scan could not flag LaurentSeries.coefficient or LaurentSeries.is_zero
+    (since removed), because Polynomial.coefficient, Divisor.coefficient
+    and the other is_zero methods have callers.  Such methods are found
+    by grepping for their callers.
+    """
     used = _used_names()
     unused = [f"{c}.{m}" for c, m in _public_methods() if m not in used]
     assert unused == []
