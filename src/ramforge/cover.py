@@ -111,12 +111,16 @@ class RamPoint(Record):
 
 
 def _homogenize(poly, g, h, n):
-    """sum c_i g^i h^(n-i) over the coefficients c_i of poly, deg poly <= n."""
-    acc = Polynomial.constant(g.field, 0)
-    for i, c in enumerate(poly.coeffs):
-        if not c.is_zero():
-            acc = acc + c * g**i * h ** (n - i)
-    return acc
+    """sum c_i g^i h^(n-i) over the coefficients c_i of poly, deg poly <= n,
+    by Horner's rule in g with a running power of h: A_n = c_n and
+    A_i = A_(i+1) g + c_i h^(n-i) give A_0, from 2n products."""
+    K, c = g.field, poly._c
+    acc, hp = list(c[n:]), [1]
+    for i in range(n - 1, -1, -1):
+        acc, hp = polyring._mul(K, acc, g._c), polyring._mul(K, hp, h._c)
+        if i < len(c) and c[i]:
+            acc = polyring._add(K, acc, polyring._scalar(K, hp, c[i]))
+    return Polynomial._raw(K, acc)
 
 
 def fiber(cover, Q):
@@ -267,14 +271,10 @@ def ramification_report(cover):
     checks["fundamental_equality"] = all(
         sum(pt.e * pt.f for pt in pts) == n for _, pts in fibers
     )
-    ok = True
-    for pt in all_points:
-        if pt.wild:
-            ok = ok and pt.d >= pt.e
-        else:
-            ok = ok and pt.d == pt.e - 1
-        ok = ok and ((pt.d > 0) == (pt.e > 1))
-    checks["dedekind"] = ok
+    checks["dedekind"] = all(
+        (pt.d >= pt.e if pt.wild else pt.d == pt.e - 1) and (pt.d > 0) == (pt.e > 1)
+        for pt in all_points
+    )
     checks["hurwitz"] = diff.degree() == 2 * n - 2
     if tame:
         k = sum(Q.degree for Q in branch)

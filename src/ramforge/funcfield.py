@@ -691,15 +691,10 @@ def rr_basis(D):
             h_pos = h_pos * pl.poly**n
         else:
             required = required * pl.poly ** (-n)
-    top = h_pos.degree + n_inf
-    out = []
-    i = 0
-    while required.degree + i <= top:
-        out.append(
-            RationalFunction(required * Polynomial.monomial(K, i), h_pos)
-        )
-        i += 1
-    return out
+    return [
+        RationalFunction(required * Polynomial.monomial(K, i), h_pos)
+        for i in range(h_pos.degree + n_inf - required.degree + 1)
+    ]
 
 
 def prescribed_element(

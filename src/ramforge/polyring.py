@@ -19,10 +19,13 @@ GF(2) and the tabulated GF(2**m) also multiply and divide in the log
 domain (_mul2, _divmod2): the logs of one factor's or of the divisor's
 coefficients are read once per call and the log of each quotient
 coefficient once per row, so the inner loops make no Field method call.
-Other fields run the generic loops over Field.add_raw and Field.mul_raw.
-Every caller inherits the choice: gcds, Frobenius and modular powers, the
-equal-degree split, the Polynomial operators and the Laurent expansions
-of funcfield, each one long division.
+So does the Taylor shift _shift.  Other fields run the generic loops over
+Field.add_raw and Field.mul_raw.  Every power, plain or mod f, is one
+_power: bit_length(e) - 1 squarings through _mul and popcount(e) - 1
+products by the base, none past the result.  Every caller inherits the
+choice: gcds, Frobenius and modular powers, the equal-degree split, the
+Polynomial operators and the Laurent expansions of funcfield, each one
+Taylor shift and one long division.
 """
 
 from operator import xor
@@ -62,13 +65,6 @@ def _log_tables(K):
     if K._exp is None:
         return None
     return K._exp, K._log
-
-
-def _add2(a, b):
-    """a + b in characteristic 2: XOR, coefficient by coefficient."""
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([*map(xor, a, b), *a[len(b):]])
 
 
 def _mul2(tables, a, b):
@@ -117,21 +113,14 @@ def _divmod2(tables, a, b):
 
 
 def _add(K, a, b):
-    if K.p == 2:
-        return _add2(a, b)
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = K.add_raw(x, y)
-    return _trim(out)
+    """a + b; in characteristic 2 XOR, coefficient by coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([*map(xor if K.p == 2 else K.add_raw, a, b), *a[len(b):]])
 
 
 def _sub(K, a, b):
-    if K.p == 2:
-        return _add2(a, b)
-    return _add(K, a, [K.neg_raw(y) for y in b])
+    return _add(K, a, b if K.p == 2 else [K.neg_raw(y) for y in b])
 
 
 def _mul(K, a, b):
@@ -211,12 +200,9 @@ def _ext_gcd(K, a, b):
         t0, t1 = t1, _sub(K, t0, _mul(K, q, t1))
     if not r0:
         return [], s0, t0
-    lc = r0[-1]
-    if lc != 1:
-        inv = K.inv_raw(lc)
-        r0 = [K.mul_raw(c, inv) for c in r0]
-        s0 = [K.mul_raw(c, inv) for c in s0]
-        t0 = [K.mul_raw(c, inv) for c in t0]
+    if r0[-1] != 1:
+        inv = K.inv_raw(r0[-1])
+        r0, s0, t0 = (_scalar(K, v, inv) for v in (r0, s0, t0))
     return r0, s0, t0
 
 
@@ -227,16 +213,42 @@ def _derivative(K, a):
     return _trim(out)
 
 
+def _shift(K, a, alpha):
+    """a(x + alpha) = sum c_k x**k by the Taylor shift, on raw coefficients.
+
+    Pass k divides c_k + ... + c_n x**(n-k) by x - alpha synthetically
+    (c_j += alpha * c_(j+1), from the top down), leaving the remainder,
+    the k-th Taylor coefficient of a at alpha, in c_k: n(n-1)/2
+    multiply-adds for n coefficients."""
+    c = list(a)
+    if not alpha:
+        return c
+    n = len(c)
+    tables = _log_tables(K)
+    if tables is not None:
+        exp, log = tables
+        la = log[alpha] - len(exp)
+        for k in range(n - 1):
+            t = c[-1]
+            for j in range(n - 2, k - 1, -1):
+                t = c[j] = c[j] ^ exp[log[t] + la] if t else c[j]
+        return c
+    mul, add = K.mul_raw, K.add_raw
+    for k in range(n - 1):
+        t = c[-1]
+        for j in range(n - 2, k - 1, -1):
+            t = c[j] = add(c[j], mul(t, alpha)) if t else c[j]
+    return c
+
+
 def _frob_mod(K, h, f):
     """h**p mod f, via the additivity of x -> x**p.
 
     Spreading h over x**p costs (deg h)*p slots, so for p >= len(f) the
     power is taken by squaring instead.
     """
-    if not h:
-        return []
     if K.p >= len(f):
-        return _powmod(K, h, K.p, f)
+        return _power(K, h, K.p, f)
     spread = [0] * ((len(h) - 1) * K.p + 1)
     for i, c in enumerate(h):
         if c:
@@ -250,15 +262,21 @@ def _frob_q_mod(K, h, f):
     return h
 
 
-def _powmod(K, a, e, f):
-    r = [1]
-    base = _mod(K, a, f)
-    while e:
-        if e & 1:
-            r = _mod(K, _mul(K, r, base), f)
-        base = _mod(K, _mul(K, base, base), f)
-        e >>= 1
-    return r
+def _power(K, a, e, f=None):
+    """a**e, reduced mod f when f is given, by binary powering from the top
+    bit of e down: r = a, then r = r*r for each lower bit and r = r*a when
+    it is set, so bit_length(e) - 1 squarings (through _mul, which spreads
+    them in characteristic 2) and popcount(e) - 1 other products."""
+
+    def mul(x, y):
+        return _mul(K, x, y) if f is None else _mod(K, _mul(K, x, y), f)
+
+    r = a = a if f is None else _mod(K, a, f)
+    for bit in bin(e)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, a)
+    return r if e else [1]
 
 
 def _pth_root_poly(K, a):
@@ -417,14 +435,7 @@ class Polynomial:
     def __pow__(self, e):
         if e < 0:
             raise PreconditionError("negative polynomial power")
-        r = Polynomial.constant(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
+        return Polynomial._raw(self.field, _power(self.field, self._c, e))
 
     def monic(self):
         return Polynomial._raw(self.field, _monic(self.field, self._c)[0])
@@ -432,18 +443,10 @@ class Polynomial:
     def derivative(self):
         return Polynomial._raw(self.field, _derivative(self.field, self._c))
 
-    def compose(self, other):
-        """self(other), by Horner."""
-        o = self._coerce(other)
-        acc = Polynomial._raw(self.field, ())
-        for c in reversed(self._c):
-            acc = acc * o + Polynomial._raw(self.field, (c,) if c else ())
-        return acc
-
     def shift(self, alpha):
-        """self(x + alpha)."""
-        a = self.field.element(alpha)
-        return self.compose(Polynomial._raw(self.field, (a.val, 1)))
+        """self(x + alpha); see _shift."""
+        K = self.field
+        return Polynomial._raw(K, _shift(K, self._c, K.element(alpha).val))
 
     # -- misc -----------------------------------------------------------
 
@@ -584,7 +587,7 @@ def _try_split(K, part, cand, d):
             return g
         if K.p == 2:
             continue
-        half = _powmod(K, shifted, (K.p - 1) // 2, part)
+        half = _power(K, shifted, (K.p - 1) // 2, part)
         g = _gcd(K, part, _sub(K, half, [1]))
         if 0 < len(g) - 1 < n:
             return g

@@ -436,6 +436,14 @@ def horner(f, r):
     return acc
 
 
+def compose(f, g):
+    """f(g) for Polynomials f and g over one field, by Horner's rule."""
+    acc = Polynomial(g.field)
+    for c in reversed(f.coeffs):
+        acc = acc * g + c
+    return acc
+
+
 def factorization_product(fac):
     """unit * prod g^e of a Factorization."""
     out = Polynomial.constant(fac.unit.field, fac.unit)
@@ -502,8 +510,8 @@ def laurent_reference(f, place, prec):
     u_plus_alpha = Polynomial(R, [alpha, 1])
     start, raw = series_quotient(
         R,
-        list(lift(f.num).compose(u_plus_alpha)._c),
-        list(lift(f.den).compose(u_plus_alpha)._c),
+        list(compose(lift(f.num), u_plus_alpha)._c),
+        list(compose(lift(f.den), u_plus_alpha)._c),
         prec,
     )
     return start, R, raw

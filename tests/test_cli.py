@@ -109,25 +109,16 @@ def test_internal_check_payload_on_stderr(capsys, monkeypatch):
     assert obj["checks"]["hurwitz"] is False
 
 
-def _count_reports(monkeypatch):
+def _count_reports(count_calls):
     import ramforge.belyi as belyi
     import ramforge.cli as cli
     import ramforge.cover as cover
 
-    calls = []
-    real = cover.ramification_report
-
-    def counted(cov):
-        calls.append(cov)
-        return real(cov)
-
-    for mod in (cover, belyi, cli):
-        monkeypatch.setattr(mod, "ramification_report", counted)
-    return calls
+    return count_calls("ramification_report", cover, belyi, cli)
 
 
-def test_belyi_wild_computes_each_report_once(capsys, monkeypatch):
-    calls = _count_reports(monkeypatch)
+def test_belyi_wild_computes_each_report_once(capsys, count_calls):
+    calls = _count_reports(count_calls)
     rc, _, _ = run(
         capsys, ["belyi-wild", "--p", "2", "--places", "x^2+x+1,x+1"]
     )
@@ -135,29 +126,21 @@ def test_belyi_wild_computes_each_report_once(capsys, monkeypatch):
     assert len(calls) == 4  # three steps and the composite
 
 
-def test_belyi_tame_computes_one_report(capsys, monkeypatch):
-    calls = _count_reports(monkeypatch)
+def test_belyi_tame_computes_one_report(capsys, count_calls):
+    calls = _count_reports(count_calls)
     rc, _, _ = run(capsys, ["belyi-tame", "--p", "5", "--places", "x+1,x+2"])
     assert rc == 0
     assert len(calls) == 1
 
 
-def _count_factor_calls(monkeypatch):
+def _count_factor_calls(count_calls):
     from ramforge import polyring
 
-    calls = []
-    real = polyring.factor
-
-    def counted(f):
-        calls.append(f)
-        return real(f)
-
-    monkeypatch.setattr(polyring, "factor", counted)
-    return calls
+    return count_calls("factor", polyring)
 
 
-def test_belyi_wild_reads_chain_e_off_step_reports(capsys, monkeypatch):
-    calls = _count_factor_calls(monkeypatch)
+def test_belyi_wild_reads_chain_e_off_step_reports(capsys, count_calls):
+    calls = _count_factor_calls(count_calls)
     rc, _, _ = run(
         capsys, ["belyi-wild", "--p", "2", "--places", "x^2+x+1,x+1"]
     )
@@ -165,8 +148,8 @@ def test_belyi_wild_reads_chain_e_off_step_reports(capsys, monkeypatch):
     assert len(calls) == 8
 
 
-def test_belyi_tame_reads_fiber_over_zero_off_the_different(capsys, monkeypatch):
-    calls = _count_factor_calls(monkeypatch)
+def test_belyi_tame_reads_fiber_over_zero_off_the_different(capsys, count_calls):
+    calls = _count_factor_calls(count_calls)
     rc, _, _ = run(capsys, ["belyi-tame", "--p", "5", "--places", "x+1,x+2"])
     assert rc == 0
     assert len(calls) == 2

@@ -124,7 +124,7 @@ def test_report_wild_step_shape():
 
 
 @pytest.mark.parametrize("make", ["denominator", "derivative", "tower"])
-def test_report_factors_each_polynomial_once(make, monkeypatch):
+def test_report_factors_each_polynomial_once(make, count_calls):
     from ramforge import polyring
     from ramforge.belyi import wild_belyi
 
@@ -136,17 +136,33 @@ def test_report_factors_each_polynomial_once(make, monkeypatch):
     else:
         cov = wild_belyi(F2, [parse_place("x^2+x+1", F2, "x")]).composite
         assert cov.degree == 27
-    seen = []
-    real = polyring.factor
-
-    def counted(f):
-        seen.append((f.field, f.encoding()))
-        return real(f)
-
-    monkeypatch.setattr(polyring, "factor", counted)
+    calls = count_calls("factor", polyring)
     ramification_report(cov)
+    seen = [(f.field, f.encoding()) for (f,) in calls]
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def test_homogenize_by_horner(count_calls):
+    """n products by g, n by h, none above degree n * deg g."""
+    from ramforge import cover, polyring
+
+    Q = parse_polynomial("x^7+3*x^6+4*x^5+x^4+3*x^3+4*x^2+3*x+4", F5, "x")
+    g = parse_polynomial("x^6+2*x^3+x+3", F5, "x")
+    h = parse_polynomial("x^4+3*x+1", F5, "x")
+    n = Q.degree
+    want = Polynomial(F5)
+    for i, c in enumerate(Q.coeffs):  # sum c_i g^i h^(n-i), product by product
+        term = Polynomial(F5, [c])
+        for _ in range(i):
+            term = term * g
+        for _ in range(n - i):
+            term = term * h
+        want = want + term
+    calls = count_calls("_mul", polyring)
+    assert cover._homogenize(Q, g, h, n) == want
+    assert len(calls) <= 2 * n + sum(1 for c in Q.coeffs if c != 0)
+    assert max(len(a) + len(b) - 2 for _, a, b in calls) == n * g.degree
 
 
 @pytest.mark.parametrize(
@@ -178,17 +194,10 @@ def test_report_factors_each_polynomial_once(make, monkeypatch):
         ),
     ],
 )
-def test_slow_survey_covers(field, num, den, max_attempts, shape, sha256, monkeypatch):
+def test_slow_survey_covers(field, num, den, max_attempts, shape, sha256, count_calls):
     from ramforge import polyring
 
-    calls = []
-    real = polyring._try_split
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(polyring, "_try_split", counted)
+    calls = count_calls("_try_split", polyring)
     rep = ramification_report(mk(field, num, den))
     # (degree of the place above, 0 at infinity; e; f; d) fiber by fiber
     assert [

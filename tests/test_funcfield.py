@@ -180,7 +180,7 @@ def test_arithmetic_matches_full_gcd(data):
         assert_reduced_as(f**e, b ** (-e), a ** (-e))
 
 
-def test_cocycle_divmod_work_halved(monkeypatch):
+def test_cocycle_divmod_work_halved(count_calls, monkeypatch):
     """Henrici's formulas take at most half the division work of a full gcd."""
     from ramforge import polyring
     from ramforge.pseudotame import cocycle_defect
@@ -189,18 +189,28 @@ def test_cocycle_divmod_work_halved(monkeypatch):
     x = rf(K, "(z*w^7+w^4+w+1)/(w^2+z*w+1)", "w")
     y = rf(K, "(w^5+z*w^2+z)/(w+z)", "w")
     t = rf(K, "(w^6+w^3+z*w+1)/(w^2+w+z)", "w")
-    work = []
-    real = polyring._divmod
-
-    def counted(K, a, b):
-        work.append(max(0, len(a) - len(b) + 1) * len(b))
-        return real(K, a, b)
-
-    monkeypatch.setattr(polyring, "_divmod", counted)
+    calls = count_calls("_divmod", polyring)
     defect = cocycle_defect(x, y, t)
+    work = [max(0, len(a) - len(b) + 1) * len(b) for _, a, b in calls]
     assert sum(work) <= FULL_GCD_COCYCLE_ROW_WORK // 2
     monkeypatch.undo()
     assert pth_power_test(defect) is not None  # the cocycle identity
+
+
+def test_cocycle_product_work(count_calls):
+    """Powers stop at the top bit: on the inputs above, 145 products with
+    none above degree 52 (223 and 96 when every power squared once more)."""
+    from ramforge import polyring
+    from ramforge.pseudotame import cocycle_defect
+
+    K = GF(2, 2)
+    x = rf(K, "(z*w^7+w^4+w+1)/(w^2+z*w+1)", "w")
+    y = rf(K, "(w^5+z*w^2+z)/(w+z)", "w")
+    t = rf(K, "(w^6+w^3+z*w+1)/(w^2+w+z)", "w")
+    calls = count_calls("_mul", polyring)
+    cocycle_defect(x, y, t)
+    assert len(calls) <= 145
+    assert max(len(a) + len(b) - 2 for _, a, b in calls) <= 52
 
 
 # ---------------------------------------------------------------------------

@@ -194,36 +194,20 @@ def test_frozen_generators_and_tables(p, m):
     assert hashlib.sha256(tables).hexdigest() == digest
 
 
-def test_table_build_digit_multiplications(monkeypatch):
-    calls = 0
-    plain = galois.Field._mul_digits
-
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return plain(self, a, b)
-
-    monkeypatch.setattr(galois.Field, "_mul_digits", counted)
+def test_table_build_digit_multiplications(count_calls):
+    calls = count_calls("_mul_digits", galois.Field)
     field = galois.Field(3, 10)  # uncached: builds the tables again
     assert field._exp[1] == 34
-    assert calls <= 5000  # order test plus two tables of about sqrt(q) products
+    assert len(calls) <= 5000  # order test plus two tables of about sqrt(q) products
 
 
 # ---------------------------------------------------------------------------
 # irreducibility: polynomials in K[x**p] are p-th powers
 
 
-def _count_rabin_tests(monkeypatch):
-    """Record the degree of every polynomial that reaches Rabin's test."""
-    seen = []
-    plain = polyring._prime_divisors
-
-    def counted(n):
-        seen.append(n)
-        return plain(n)
-
-    monkeypatch.setattr(polyring, "_prime_divisors", counted)
-    return seen
+def _count_rabin_tests(count_calls):
+    """Record (degree,) for every polynomial that reaches Rabin's test."""
+    return count_calls("_prime_divisors", polyring)
 
 
 @pytest.mark.parametrize(
@@ -237,10 +221,10 @@ def _count_rabin_tests(monkeypatch):
         (GF(7), "T^14+T^7+1"),
     ],
 )
-def test_zero_derivative_rejected_before_rabin(field, text, monkeypatch):
+def test_zero_derivative_rejected_before_rabin(field, text, count_calls):
     f = parse_polynomial(text, field)
     assert f.derivative().is_zero()
-    rabin = _count_rabin_tests(monkeypatch)
+    rabin = _count_rabin_tests(count_calls)
     assert not is_irreducible(f)
     assert rabin == []
     fac = factor(f)
@@ -248,14 +232,14 @@ def test_zero_derivative_rejected_before_rabin(field, text, monkeypatch):
     assert all(e % field.p == 0 for _, e in fac.factors)
 
 
-def test_least_quadratic_over_gf4096(monkeypatch):
+def test_least_quadratic_over_gf4096(count_calls):
     field = GF(2, 12)
-    rabin = _count_rabin_tests(monkeypatch)
+    rabin = _count_rabin_tests(count_calls)
     f = irreducible_poly(field, 2)
     assert f.to_text("T") == "T^2+T+z^9"
     # read off the trace, then confirmed by one Rabin test (the encoding walk
     # takes 513 of them)
-    assert rabin == [2]
+    assert rabin == [(2,)]
 
 
 # ---------------------------------------------------------------------------

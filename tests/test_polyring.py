@@ -1,6 +1,7 @@
 """Polynomial arithmetic, factorization, parsing."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -93,24 +94,12 @@ def test_factor_of_zero_raises():
 # equal-degree splitting: bounded, deterministic
 
 
-def count_splits(monkeypatch):
-    calls = []
-    real = polyring._try_split
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(polyring, "_try_split", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "field,text,max_attempts,n_factors",
     [(F2, "T^512+T", 400, 60), (F4, "T^256+T", 500, 70)],
 )
-def test_split_attempts_bounded(field, text, max_attempts, n_factors, monkeypatch):
-    calls = count_splits(monkeypatch)
+def test_split_attempts_bounded(field, text, max_attempts, n_factors, count_calls):
+    calls = count_calls("_try_split", polyring)
     fact = factor(poly(field, text))
     assert len(fact.factors) == n_factors
     assert all(e == 1 for _, e in fact.factors)
@@ -282,10 +271,72 @@ def test_invert_mod(f):
         assert (f * inv) % m == Polynomial(F3, [1])
 
 
-@given(f=polys(F9, 4), a=st.integers(0, 8), b=st.integers(0, 8))
-def test_shift_matches_evaluation(f, a, b):
-    alpha, x0 = F9.element(a), F9.element(b)
+SHIFT_FIELDS = [F2, F4, GF(2, 3), F3, F5, F9]
+SHIFT_IDS = ["gf2", "gf4", "gf8", "gf3", "gf5", "gf9"]
+
+
+@pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
+@given(data=st.data())
+def test_shift_matches_evaluation(field, data):
+    f = data.draw(polys(field, 8))
+    elements = st.integers(0, field.q - 1).map(field.element)
+    alpha, x0 = data.draw(elements), data.draw(elements)
     assert oracles.horner(f.shift(alpha), x0) == oracles.horner(f, x0 + alpha)
+
+
+@pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
+def test_shift_matches_horner_composition(field):
+    """Coefficient lists against f(x + alpha) by Horner's rule, for alpha = 0,
+    the zero and the constant polynomials, and degrees up to 40."""
+    rng = random.Random(field.q)
+    cases = [(0, [])] + [(d, None) for d in (0, 0, 1, 2, 3, 7, 16, 40, 40)]
+    for d, coeffs in cases:
+        if coeffs is None:
+            coeffs = [rng.randrange(field.q) for _ in range(d)]
+            coeffs.append(rng.randrange(1, field.q))
+        f = Polynomial(field, coeffs)
+        for a in sorted({0, 1, field.q - 1, rng.randrange(field.q)}):
+            alpha = field.element(a)
+            want = oracles.compose(f, Polynomial(field, [alpha, 1]))
+            assert f.shift(alpha).coeffs == want.coeffs
+            assert f.shift(alpha).shift(-alpha) == f
+
+
+# ---------------------------------------------------------------------------
+# powers: no product past the result
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_power_makes_no_product_past_the_result(field, count_calls):
+    """f**e and f**e mod m make bit_length(e) - 1 squarings and popcount(e) - 1
+    other products, none of degree above e * deg f (or 2 (deg m - 1))."""
+    f = Polynomial(field, [1, field.q - 1, 0, 1])
+    m = poly(field, "T^5+T^2+1")
+    want = [Polynomial.constant(field, 1)]
+    for _ in range(70):
+        want.append(want[-1] * f)  # by repeated multiplication
+    calls = count_calls("_mul", polyring)
+    for reduced in (False, True):
+        for e in range(71):
+            calls.clear()
+            if reduced:
+                got = Polynomial(field, polyring._power(field, f._c, e, m._c))
+                assert got == want[e] % m
+                top = 2 * (m.degree - 1)
+            else:
+                assert f**e == want[e]
+                top = e * f.degree
+            squares = sum(a is b for _, a, b in calls)
+            assert squares == max(e.bit_length() - 1, 0)
+            assert len(calls) - squares == max(bin(e).count("1") - 1, 0)
+            assert all(len(a) + len(b) - 2 <= top for _, a, b in calls)
+
+
+def test_power_at_the_degree_cap_builds_nothing_larger(count_calls):
+    calls = count_calls("_mul", polyring)
+    f = parse_polynomial(f"T^{MAX_COVER_DEGREE}+T", F2, "T")
+    assert f.degree == MAX_COVER_DEGREE
+    assert max(len(a) + len(b) - 2 for _, a, b in calls) == MAX_COVER_DEGREE
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from ramforge import GF
-from ramforge.polyring import _add, _divmod, _ext_gcd, _gcd, _mul, _sub
+from ramforge.polyring import _add, _divmod, _ext_gcd, _gcd, _mul, _shift, _sub
 
 MAX_DEG = 64
 
@@ -133,11 +133,12 @@ def test_char2_kernels_make_no_field_calls(monkeypatch, m):
     K = GF(2, m)
     rng = random.Random(200 + m)
     a, b = rand_poly(rng, K.q, 40), rand_poly(rng, K.q, 17)
-    want = [f(K, a, b) for f in (_mul, _divmod, _add, _sub)]
+    kernels = (_mul, _divmod, _add, _sub, lambda K, a, b: _shift(K, a, b[-1]))
+    want = [f(K, a, b) for f in kernels]
 
     def forbidden(*args):
         raise AssertionError("field method called from a char-2 kernel")
 
     for name in ("add_raw", "sub_raw", "neg_raw", "mul_raw", "inv_raw", "pow_raw"):
         monkeypatch.setattr(type(K), name, forbidden)
-    assert [f(K, a, b) for f in (_mul, _divmod, _add, _sub)] == want
+    assert [f(K, a, b) for f in kernels] == want
