@@ -12,7 +12,6 @@ budget exceeded, 5 internal consistency check failed.
 
 import argparse
 import json
-import math
 import sys
 
 from .belyi import chain_as_dict, tame_belyi_genus0, wild_belyi
@@ -25,7 +24,6 @@ from .cover import (
 )
 from .errors import InternalCheckError, RamforgeError
 from .funcfield import (
-    Place,
     laurent_expand,
     parse_place,
     parse_rational,
@@ -36,11 +34,11 @@ from .galois import GF
 from .polyring import factor as factor_poly
 from .polyring import irreducible_poly, parse_polynomial
 from .pseudotame import (
+    _local,
+    _place_stream,
     critical_places,
     element_is_tame_at,
-    is_pseudotame_at,
     square_completion,
-    v_dx,
 )
 
 
@@ -174,23 +172,13 @@ def _cmd_belyi_tame(args):
     return chain_as_dict(chain), _chain_text(chain)
 
 
-def _completion_partner(field, poles, avoid):
-    """First degree-1 place, then infinity, that is neither avoid nor a pole."""
-    candidates = [Place.from_root(field.element(v)) for v in range(field.q)]
-    candidates.append(Place.infinite(field))
-    for place in candidates:
-        if place not in poles and place != avoid:
-            return place
-    return None
-
-
 def _place_facts(x, place):
-    v = v_dx(x, place)
+    local = _local(x, place)
     return {
         "place": place.text("w"),
-        "v_dx": None if v == math.inf else v,
-        "tame": element_is_tame_at(x, place),
-        "pseudotame": is_pseudotame_at(x, place),
+        "v_dx": local.v_dx,
+        "tame": local.tame(),
+        "pseudotame": local.pseudotame(),
     }
 
 
@@ -214,8 +202,9 @@ def _cmd_pseudotame(args):
         witness = None
         poles = set(pole_divisor_of(x).support())
         if not facts["tame"] and place not in poles:
-            partner = _completion_partner(field, poles, place)
-            if partner is not None:
+            # the first free place, if it is of degree 1 or infinity
+            partner = next(_place_stream(field, poles | {place}))
+            if partner.degree == 1:
                 try:
                     z = square_completion(x, place, partner, args.budget)
                 except RamforgeError as exc:

@@ -192,13 +192,12 @@ class Field:
             return 0 if e else 1
         if self._exp is not None:
             return self._exp[self._log[a] * e % (self.q - 1)]
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self._mul_digits(r, base)
-            base = self._mul_digits(base, base)
-            e >>= 1
-        return r
+        r = a  # from the top bit of e down, as polyring._power
+        for bit in bin(e)[3:]:
+            r = self._mul_digits(r, r)
+            if bit == "1":
+                r = self._mul_digits(r, a)
+        return r if e else 1
 
     def frobenius_raw(self, a):
         return self.pow_raw(a, self.p)

@@ -20,7 +20,9 @@ constant field is exact.
 The local layer reads x = N/D directly: dx/dw = W/D^2 with W = N'D - ND',
 left unreduced, so v_P(dx) = v_P(W) - 2 v_P(D) at a finite place and
 2 deg D - deg W - 2 at infinity, and the zeros of dx/dw lie among the
-factors of W.  No rational-function derivative is formed.
+factors of W.  No rational-function derivative is formed.  One record per
+(element, place) carries v_P(dx) and the single expansion of x at P,
+exact below v_P(dx) + 2, that both criteria and square completion read.
 """
 
 import itertools
@@ -162,15 +164,29 @@ def _series_terms(x, P, upto):
     return laurent_expand(x, P, prec).terms()
 
 
+class _Local(Record):
+    # field: of x; v_dx: v_P(dx); terms: of x at P, exact below v_dx + 2
+    __slots__ = ("field", "v_dx", "terms")
+
+    def tame(self):
+        """The leading nonconstant exponent is odd."""
+        return next((k for k, _ in self.terms if k != 0), 0) % 2 == 1
+
+    def pseudotame(self):
+        """Every exponent below v_P(dx) + 1 is divisible by 4."""
+        _require_char2(self.field)
+        return all(k % 4 == 0 for k, _ in self.terms if k <= self.v_dx)
+
+
+def _local(x, P):
+    """The one record of x at P: one W, one expansion; a square x raises."""
+    v = v_dx(x, P)
+    return _Local(field=x.field, v_dx=v, terms=_series_terms(x, P, v + 2))
+
+
 def element_is_tame_at(x, P):
     """Tame at P: the leading nonconstant exponent of x at P is odd."""
-    if _is_square(x):
-        return False
-    bound = v_dx(x, P) + 2
-    for k, _ in _series_terms(x, P, bound):
-        if k != 0:
-            return k % 2 == 1
-    return False  # pragma: no cover
+    return not _is_square(x) and _local(x, P).tame()
 
 
 def is_pseudotame_at(x, P):
@@ -178,11 +194,7 @@ def is_pseudotame_at(x, P):
     _require_char2(x.field)
     if _is_square(x):
         raise PreconditionError("x is a square; pseudo-tameness is undefined")
-    bound = v_dx(x, P) + 1
-    for k, _ in _series_terms(x, P, bound):
-        if k < bound and k % 4 != 0:
-            return False
-    return True
+    return _local(x, P).pseudotame()
 
 
 def critical_places(x):
@@ -250,7 +262,8 @@ def square_completion(x, P, Q, pole_budget=None):
         )
     if valuation(x, P) < 0 or valuation(x, Q) < 0:
         raise PreconditionError("P and Q must avoid the poles of x")
-    j_odd = v_dx(x, P) + 1
+    local = _local(x, P)
+    j_odd = local.v_dx + 1
     n_max = max((j_odd - 1) // 2, 0)
     if pole_budget is None:
         pole_budget = max(x.num.degree, x.den.degree) + 4
@@ -270,14 +283,9 @@ def square_completion(x, P, Q, pole_budget=None):
 
     one = RationalFunction.constant(K, 1)
     z = RationalFunction.constant(K, 0)
+    terms = local.terms  # of the running element x + z^2, here z = 0
     for _ in range(n_max + 2):
-        cur = x + z * z
-        j = None
-        coeff = None
-        for k, c in _series_terms(cur, P, j_odd + 1):
-            if k != 0:
-                j, coeff = k, c
-                break
+        j, coeff = next(((k, c) for k, c in terms if k != 0), (None, None))
         if j is None:  # pragma: no cover
             raise InternalCheckError("ran out of Laurent terms before dx+1")
         if j % 2 == 1:
@@ -292,6 +300,7 @@ def square_completion(x, P, Q, pole_budget=None):
             raise InternalCheckError("no exact-order element in L(R - nP)")
         b = laurent_expand(z0, P, 1).coeffs[0]
         z = z + z0 * (coeff.pth_root() / b)
+        terms = _series_terms(x + z * z, P, j_odd + 1)
     raise InternalCheckError("square completion failed to terminate")
 
 
@@ -312,7 +321,8 @@ def quartic_pole_reduction(x, Q):
         raise PreconditionError(
             "quartic pole reduction supports degree-1 and infinite places"
         )
-    if not is_pseudotame_at(x, Q):
+    local = _local(x, Q)
+    if not local.pseudotame():
         raise PreconditionError("x is not pseudo-tame at Q")
 
     if Q.is_infinite:
@@ -336,7 +346,7 @@ def quartic_pole_reduction(x, Q):
         if not (valuation(nxt, Q) > v):  # pragma: no cover
             raise InternalCheckError("pole reduction made no progress")
         cur = nxt
-    target = -v_dx(x, Q) - 1
+    target = -local.v_dx - 1
     if -valuation(cur, Q) != target:
         raise InternalCheckError(
             f"reduced pole order {-valuation(cur, Q)} != target {target}"

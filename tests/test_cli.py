@@ -343,6 +343,22 @@ def test_pseudotame_of_zero_exit_3(capsys):
     assert err == "ramforge: error: the zero function has no divisor\n"
 
 
+@pytest.mark.parametrize("at", [[], ["--at", "w"]])
+def test_pseudotame_odd_characteristic_exit_3(capsys, at):
+    rc, out, err = run(capsys, ["pseudotame", "--p", "3", "w^2+w^4", *at])
+    assert (rc, out) == (3, "")
+    assert err == "ramforge: error: this toolkit requires characteristic 2\n"
+
+
+@pytest.mark.parametrize("p,x", [("2", "w^2+w^4"), ("3", "w^3")])
+@pytest.mark.parametrize("at", [[], ["--at", "w"]])
+def test_pseudotame_of_square_exit_3(capsys, p, x, at):
+    """A square is reported as one before the characteristic is checked."""
+    rc, out, err = run(capsys, ["pseudotame", "--p", p, x, *at])
+    assert (rc, out) == (3, "")
+    assert err == "ramforge: error: dx = 0: x is a square\n"
+
+
 def test_pseudotame_partner_is_degree_one_or_infinity(capsys):
     """w=0 is avoided, w=1 and infinity are poles: no completion is tried,
     though a degree-2 place would be free."""

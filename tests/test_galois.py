@@ -267,6 +267,16 @@ def test_untabulated_field_arithmetic(p, m):
         assert (a * b).coeffs == prod + (0,) * (m - len(prod))
 
 
+def test_untabulated_inverse_powers_from_the_top_bit(count_calls):
+    field = GF(2, 17)
+    products = count_calls("_mul_bits", galois.Field)
+    inv = field.inv_raw(0b1011)
+    # a^(q-2): q - 2 has 17 bits, 16 of them set, so 16 squarings and 15
+    # products by a, with no square past the top bit and no product by 1
+    assert len(products) == 31
+    assert field.mul_raw(0b1011, inv) == 1
+
+
 @pytest.mark.parametrize("p,m", UNTABULATED)
 def test_untabulated_field_factoring(p, m):
     field = GF(p, m)

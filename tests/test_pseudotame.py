@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramforge import GF, polyring, pseudotame
+from ramforge import GF, funcfield, polyring, pseudotame
+from ramforge.cli import main
 from ramforge.errors import InternalCheckError, PreconditionError
 from ramforge.funcfield import (
     Place,
@@ -430,9 +431,11 @@ def test_local_layer_matches_derivative_route(data):
         assert v_dx(x, P) == valuation(xp, P) - (2 if P.is_infinite else 0)
 
 
-def test_local_layer_work_counts(count_calls):
+def test_local_layer_work_counts(count_calls, capsys):
     """The local layer reads x = N/D: no rational-function derivative, and
-    the pole divisor factors the denominator alone, if it is not constant."""
+    the pole divisor factors the denominator alone, if it is not constant.
+    The CLI builds one W and one expansion per (element, place), and lifts
+    each place of degree 2 or more once."""
     derivatives = count_calls("derivative", RationalFunction)
     factors = count_calls("factor", polyring)
     x = rf("(w^7+w^4+w+1)/(w^3+w^2+w)")
@@ -447,6 +450,23 @@ def test_local_layer_work_counts(count_calls):
     factors.clear()
     assert pole_divisor_of(rf("w^3+w")).to_text("w") == "3*(inf)"
     assert factors == []
+    walls = count_calls("_wronskian", pseudotame)
+    expansions = count_calls("laurent_expand", pseudotame, funcfield)
+    lifts = count_calls("roots", polyring)
+    assert main(["pseudotame", "--p", "2", x.to_text("w")]) == 0
+    out = capsys.readouterr().out
+    assert "(w=0), (w=1), (w^2+w+1=0), (w^3+w+1=0), (w=inf)" in out
+    # one W for critical_places and one per place; five distinct places
+    assert len(walls) <= 6
+    assert len({P for _, P, _ in expansions}) == len(expansions) == 5
+    assert len(lifts) <= 2
+    walls.clear()
+    expansions.clear()
+    assert main(["pseudotame", "--p", "2", "w^2+w^5", "--at", "w"]) == 0
+    assert "completion z: w" in capsys.readouterr().out
+    # the facts, the completion's record and two tameness checks of x + z^2
+    assert len(walls) <= 4
+    assert len(expansions) <= 6
 
 
 def test_quartic_moebius():
