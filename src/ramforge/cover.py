@@ -1,12 +1,17 @@
 """Rational covers of the projective line and their ramification analysis.
 
-A cover is a nonconstant separable t = g(x)/h(x) in F_q(x).  Everything
-downstream is exact: fibers come from factoring the fiber polynomial,
-different exponents from the divisor identity
+A cover is a nonconstant separable t = g(x)/h(x) in F_q(x), in lowest
+terms with h monic and n = deg g > deg h.  Everything downstream is
+exact: fibers come from factoring the fiber polynomial, and the different
+from one polynomial, the Wronskian W = g'h - gh'.  In the identity
+Diff = div(dt/dx) + (dx) + 2 * Conorm(pole divisor of t) (Stichtenoth,
+III.4), dt/dx = W/h^2 and (dx) = -2 (x=inf); at a pole P of t with
+e = v_P(h) the -2e of h^2 cancels the +2e of the conorm, and at infinity
+(2 deg h - deg W) - 2 + 2(n - deg h) remains, so
 
-    Diff = divisor(dt/dx) + (dx) + 2 * Conorm(pole divisor of t),
+    Diff = (W) + (2n - 2 - deg W) * (x=inf).
 
-and the structural identities (fundamental equality, Dedekind different
+The structural identities (fundamental equality, Dedekind different
 bounds, the Hurwitz degree, and the tame branch-count formula) are
 recomputed on every report.  A failed identity is a bug in the engine and
 raises InternalCheckError rather than ever being reported quietly.
@@ -14,7 +19,7 @@ raises InternalCheckError rather than ever being reported quietly.
 
 from . import polyring
 from .errors import InternalCheckError, PreconditionError
-from .funcfield import Divisor, Place, RationalFunction, valuation
+from .funcfield import Divisor, Place, RationalFunction, _is_pth_power, _wronskian
 from .linalg import RelationTracker
 from .polyring import Polynomial
 from .record import Record
@@ -94,7 +99,7 @@ def cover_create(field, g, h=None, var_up="x", var_down="t"):
         normalization = {"kind": "reciprocal_shift", "alpha": alpha}
         if f.num.degree <= f.den.degree:  # pragma: no cover
             raise InternalCheckError("normalization failed to raise the degree")
-    if f.derivative().is_zero():
+    if _is_pth_power(f):
         raise PreconditionError(
             "inseparable map: dt/dx = 0 (a p-th power of another map)"
         )
@@ -205,25 +210,19 @@ class RamificationReport(Record):
     )
 
 
-def _different_divisor(cover, inf_pts):
-    """Diff = div(dt/dx) + (dx) + 2 * Conorm(pole divisor of t).
+def _different_divisor(cover):
+    """Diff = (W) + (2n - 2 - deg W) * (x=inf), with W = g'h - gh'.
 
-    inf_pts is the fiber over (t=infinity).  The poles of dt/dx lie among
-    its places, so only the numerator of dt/dx is factored here, and not
-    even that when it is the denominator of t, whose factors inf_pts holds.
+    dt/dx = W/h^2, so in div(dt/dx) + (dx) + 2 * Conorm(pole divisor of t)
+    the -2e of h^2 at a pole P, e = v_P(h), cancels the conorm's +2e, and
+    infinity keeps (2 deg h - deg W) - 2 + 2(n - deg h).  A constant W,
+    as at every wild step, is not factored.
     """
     K = cover.field
-    tp = cover.map.derivative()
-    if tp.num.monic() == cover.map.den.monic():
-        items = [(P, e) for P, e, _ in inf_pts if not P.is_infinite]
-    else:
-        items = [(Place(K, pl), e) for pl, e in polyring.factor(tp.num).factors]
-    for P, e, _ in inf_pts:
-        if P.is_infinite:
-            v = valuation(tp, P) - 2
-        else:
-            v = -valuation(RationalFunction(tp.den), P)
-        items.append((P, v + 2 * e))
+    W = _wronskian(cover.map)
+    factors = polyring.factor(W).factors if W.degree > 0 else []
+    items = [(Place(K, pl), e) for pl, e in factors]
+    items.append((Place.infinite(K), 2 * cover.degree - 2 - W.degree))
     return Divisor(K, items)
 
 
@@ -237,14 +236,16 @@ def ramification_report(cover):
     n = cover.degree
     inf = Place.infinite(K)
     inf_pts = fiber(cover, inf)
-    diff = _different_divisor(cover, inf_pts)
+    diff = _different_divisor(cover)
 
     if not (diff.is_zero() or diff.is_effective()):
         raise InternalCheckError(
             f"different divisor not effective: {diff.to_text(cover.var_up)}"
         )
 
-    below = {inf} | {pushforward_place(cover, P) for P in diff.support()}
+    # the places in the fiber over infinity need no pushforward
+    off_inf = set(diff.support()) - {P for P, _, _ in inf_pts}
+    below = {inf} | {pushforward_place(cover, P) for P in off_inf}
 
     fibers = []
     for Q in sorted(below, key=Place.sort_key):
@@ -271,10 +272,12 @@ def ramification_report(cover):
     checks["fundamental_equality"] = all(
         sum(pt.e * pt.f for pt in pts) == n for _, pts in fibers
     )
+    # d comes from W and e from the fibers: two independent computations
     checks["dedekind"] = all(
         (pt.d >= pt.e if pt.wild else pt.d == pt.e - 1) and (pt.d > 0) == (pt.e > 1)
         for pt in all_points
     )
+    # deg Diff = (sum of the factor degrees of W) + 2n - 2 - deg W
     checks["hurwitz"] = diff.degree() == 2 * n - 2
     if tame:
         k = sum(Q.degree for Q in branch)

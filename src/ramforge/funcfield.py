@@ -114,7 +114,7 @@ def parse_place(text, field, var="x"):
 class Divisor:
     """An immutable finite Z-linear combination of places."""
 
-    __slots__ = ("field", "_items")
+    __slots__ = ("field", "_items", "_coeffs")
 
     def __init__(self, field, items=()):
         acc = {}
@@ -127,6 +127,7 @@ class Divisor:
         cleaned.sort(key=lambda t: t[0].sort_key())
         self.field = field
         self._items = tuple(cleaned)
+        self._coeffs = dict(cleaned)
 
     @classmethod
     def zero(cls, field):
@@ -139,10 +140,7 @@ class Divisor:
         return tuple(pl for pl, _ in self._items)
 
     def coefficient(self, place):
-        for pl, n in self._items:
-            if pl == place:
-                return n
-        return 0
+        return self._coeffs.get(place, 0)
 
     def degree(self):
         return sum(n * pl.degree for pl, n in self._items)
@@ -352,10 +350,7 @@ class RationalFunction:
         return RationalFunction.constant(self.field, 1) / self
 
     def derivative(self):
-        n, d = self.num, self.den
-        return RationalFunction(
-            n.derivative() * d - n * d.derivative(), d * d
-        )
+        return RationalFunction(_wronskian(self), self.den * self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement, Polynomial)):
@@ -389,6 +384,24 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()!r} over {self.field!r})"
+
+
+def _wronskian(f):
+    """W = N'D - ND' for f = N/D, so that df/dx = W/D^2 (not reduced)."""
+    N, D = f.num, f.den
+    return N.derivative() * D - N * D.derivative()
+
+
+def _is_pth_power(f):
+    """f in F^p, i.e. df/dx = 0 (the constants are perfect).
+
+    For f = n/d in lowest terms, f' = (n'd - nd')/d^2 vanishes iff
+    n'd = nd'.  Then d divides nd', and gcd(n, d) = 1 gives d | d'; as
+    deg d' < deg d, that forces d' = 0, and then n'd = 0 gives n' = 0.
+    So f' = 0 exactly when n' = 0 and d' = 0, and only those two
+    polynomial derivatives are taken.
+    """
+    return f.num.derivative().is_zero() and f.den.derivative().is_zero()
 
 
 def _common_factor(a, b):
@@ -651,19 +664,14 @@ def pth_power_test(f):
     """Return the p-th root of f when f lies in F^p, else None."""
     if f.is_zero():
         return RationalFunction.constant(f.field, 0)
+    if not _is_pth_power(f):
+        return None
     K = f.field
 
     def root_of(poly):
-        # poly lies in K[x**p] iff its derivative vanishes
-        if polyring._derivative(K, poly._c):
-            return None
         return Polynomial._raw(K, polyring._pth_root_poly(K, poly._c))
 
-    rn = root_of(f.num)
-    rd = root_of(f.den)
-    if rn is None or rd is None:
-        return None
-    g = RationalFunction(rn, rd)
+    g = RationalFunction(root_of(f.num), root_of(f.den))
     if g**K.p == f:
         return g
     return None

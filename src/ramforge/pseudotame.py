@@ -15,7 +15,8 @@ into even and odd halves, with no gcd.  The four coordinates share the
 denominator U = D G^2 of x = N/D; each is reduced once at the end, and
 the re-expansion is checked as one cross-multiplied polynomial identity.
 Squares are recognized by a vanishing derivative, which over a perfect
-constant field is exact.
+constant field is exact (`funcfield._is_pth_power`; for p = 2 the p-th
+powers are the squares).
 
 The local layer reads x = N/D directly: dx/dw = W/D^2 with W = N'D - ND',
 left unreduced, so v_P(dx) = v_P(W) - 2 v_P(D) at a finite place and
@@ -33,7 +34,9 @@ from .errors import InternalCheckError, PreconditionError
 from .funcfield import (
     Place,
     RationalFunction,
+    _is_pth_power,
     _poly_valuation,
+    _wronskian,
     laurent_expand,
     pole_divisor_of,
     valuation,
@@ -45,18 +48,6 @@ from .record import Record
 def _require_char2(field):
     if field.p != 2:
         raise PreconditionError("this toolkit requires characteristic 2")
-
-
-def _is_square(f):
-    """f in F^2, i.e. df/dw = 0 (char 2, perfect constants).
-
-    For f = n/d in lowest terms, f' = (n'd - nd')/d^2 vanishes iff
-    n'd = nd'.  Then d divides nd', and gcd(n, d) = 1 gives d | d'; as
-    deg d' < deg d, that forces d' = 0, and then n'd = 0 gives n' = 0.
-    So f' = 0 exactly when n' = 0 and d' = 0, and only those two
-    polynomial derivatives are taken.
-    """
-    return f.num.derivative().is_zero() and f.den.derivative().is_zero()
 
 
 def _halves(f):
@@ -84,7 +75,7 @@ def _quartic_polys(x, y):
     _require_char2(x.field)
     if x.field != y.field:
         raise PreconditionError("x and y over different fields")
-    if _is_square(y):
+    if _is_pth_power(y):
         raise PreconditionError("y must not be a square")
     N, D, Y, E = x.num, x.den, y.num, y.den
     C, G = _halves(Y * E)
@@ -119,7 +110,7 @@ def a_invariant(x, y):
     a = (X1 X3 + X2^2)^2 Y E / (X3^2 Y + X1^2 E)^2, reduced once.
     """
     _require_char2(x.field)
-    if _is_square(x) or _is_square(y):
+    if _is_pth_power(x) or _is_pth_power(y):
         raise PreconditionError("x and y must both be non-squares")
     (_, X1, X2, X3), _ = _quartic_polys(x, y)
     Y, E = y.num, y.den
@@ -136,12 +127,6 @@ def cocycle_defect(x, y, t):
 
 # ---------------------------------------------------------------------------
 # local tameness and pseudo-tameness
-
-
-def _wronskian(x):
-    """W = N'D - ND' for x = N/D, so that dx/dw = W/D^2 (not reduced)."""
-    N, D = x.num, x.den
-    return N.derivative() * D - N * D.derivative()
 
 
 def v_dx(x, P):
@@ -186,13 +171,13 @@ def _local(x, P):
 
 def element_is_tame_at(x, P):
     """Tame at P: the leading nonconstant exponent of x at P is odd."""
-    return not _is_square(x) and _local(x, P).tame()
+    return not _is_pth_power(x) and _local(x, P).tame()
 
 
 def is_pseudotame_at(x, P):
     """Every nonzero exponent below v_P(dx) + 1 is divisible by 4."""
     _require_char2(x.field)
-    if _is_square(x):
+    if _is_pth_power(x):
         raise PreconditionError("x is a square; pseudo-tameness is undefined")
     return _local(x, P).pseudotame()
 
@@ -252,7 +237,7 @@ def square_completion(x, P, Q, pole_budget=None):
 
     K = x.field
     _require_char2(K)
-    if _is_square(x):
+    if _is_pth_power(x):
         raise PreconditionError("x is a square; no odd exponent to finish at")
     if P == Q:
         raise PreconditionError("P and Q must differ")
@@ -312,7 +297,7 @@ def quartic_pole_reduction(x, Q):
     """
     K = x.field
     _require_char2(K)
-    if _is_square(x):
+    if _is_pth_power(x):
         raise PreconditionError("x is a square")
     poles = pole_divisor_of(x).support()
     if any(pl != Q for pl in poles):

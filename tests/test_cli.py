@@ -145,7 +145,8 @@ def test_belyi_wild_reads_chain_e_off_step_reports(capsys, count_calls):
         capsys, ["belyi-wild", "--p", "2", "--places", "x^2+x+1,x+1"]
     )
     assert rc == 0
-    assert len(calls) == 8
+    # the wild steps' W = g'h - gh' is constant and is not factored
+    assert len(calls) == 6
 
 
 def test_belyi_tame_reads_fiber_over_zero_off_the_different(capsys, count_calls):

@@ -1,6 +1,7 @@
 """Covers of the projective line: fibers, different, report checks."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ramforge import GF
 from ramforge.cover import (
     RationalCover,
+    _different_divisor,
     compose,
     conorm,
     cover_create,
@@ -21,8 +23,15 @@ from ramforge.cover import (
     report_as_dict,
 )
 from ramforge.errors import PreconditionError
-from ramforge.funcfield import Divisor, Place, parse_place
-from ramforge.polyring import Polynomial, parse_polynomial
+from ramforge.funcfield import (
+    Divisor,
+    Place,
+    RationalFunction,
+    _wronskian,
+    differential_divisor,
+    parse_place,
+)
+from ramforge.polyring import Polynomial, irreducibles, parse_polynomial
 
 F2 = GF(2)
 F3 = GF(3)
@@ -123,6 +132,12 @@ def test_report_wild_step_shape():
     ]
 
 
+# h' = 0 and g' = 1, so W = g'h - gh' is h itself
+W_IS_H = (F2, "x^8+x", "x^4+x^2+1")
+# W = 3x^4 - 2 = 1: constant, though t has a finite pole
+W_IS_CONSTANT = (F3, "x^4+2", "x")
+
+
 @pytest.mark.parametrize("make", ["denominator", "derivative", "tower"])
 def test_report_factors_each_polynomial_once(make, count_calls):
     from ramforge import polyring
@@ -131,8 +146,10 @@ def test_report_factors_each_polynomial_once(make, count_calls):
     if make == "denominator":
         cov = mk(F3, "x^5+x+1", "x^2*(x+1)")
     elif make == "derivative":
+        # the reduced dt/dx = x^6/x^4 = x^2 is h, but W = x^6 is not:
+        # the report factors W and h, two different polynomials
         cov = mk(F2, "x^5+1", "x^2")
-        assert cov.map.derivative().num == cov.map.den
+        assert _wronskian(cov.map) == cov.den**3
     else:
         cov = wild_belyi(F2, [parse_place("x^2+x+1", F2, "x")]).composite
         assert cov.degree == 27
@@ -141,6 +158,71 @@ def test_report_factors_each_polynomial_once(make, count_calls):
     seen = [(f.field, f.encoding()) for (f,) in calls]
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def _cover_with_repeated_poles(rng, K):
+    """t = g/h, h a product of up to two places to the powers 1, 2 or p,
+    and deg g - deg h one of 1, 2 and p."""
+    pool = [
+        P for d in (1, 2) for P in itertools.islice(irreducibles(K, d), 3)
+    ]
+    while True:
+        h = Polynomial.constant(K, 1)
+        for P in rng.sample(pool, rng.randrange(3)):
+            h = h * P ** rng.choice((1, 2, K.p))
+        n = h.degree + rng.choice((1, 2, K.p))
+        g = Polynomial(
+            K, [rng.randrange(K.q) for _ in range(n)] + [rng.randrange(1, K.q)]
+        )
+        try:
+            cov = cover_create(K, g, h)
+        except PreconditionError:
+            continue
+        if cov.degree >= 2:
+            return cov
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+)
+def test_different_is_the_differential_identity(p, m):
+    """(W) + (2n - 2 - deg W)(x=inf) against a reference built apart from
+    the report: div(dt/dx) + (dx) off the reduced derivative, plus twice
+    the conorm of (t=inf) off the fiber over infinity."""
+    K = GF(p, m)
+    rng = random.Random(100 * p + m)
+    covers = [_cover_with_repeated_poles(rng, K) for _ in range(16)]
+    covers += [mk(*c) for c in (W_IS_H, W_IS_CONSTANT) if c[0] == K]
+    inf = Place.infinite(K)
+    for cov in covers:
+        t, g, h = cov.map, cov.num, cov.den
+        # the quotient rule, apart from W: t'h = g' - t h'
+        gp, hp = RationalFunction(g.derivative()), h.derivative()
+        assert t.derivative() * h == gp - t * hp
+        want = differential_divisor(t) + 2 * conorm(cov, Divisor(K, [(inf, 1)]))
+        assert _different_divisor(cov) == want
+
+
+@pytest.mark.parametrize("p,place,degree", [(2, "x^2+x+1", 27), (3, "x^2+1", 128)])
+def test_tower_report_reads_the_different_off_w(p, place, degree, count_calls):
+    """No rational derivative, no per-pole division chain, and no
+    pushforward of a place whose image, infinity, its fiber already gives."""
+    from ramforge import cover as cover_module
+    from ramforge import funcfield
+    from ramforge.belyi import wild_belyi
+
+    K = GF(p)
+    cov = wild_belyi(K, [parse_place(place, K, "x")]).composite
+    assert cov.degree == degree
+    derivatives = count_calls("derivative", RationalFunction)
+    chains = count_calls("_poly_valuation", funcfield)
+    pushed = count_calls("pushforward_place", cover_module)
+    rep = ramification_report(cov)
+    assert derivatives == chains == []
+    # a wild tower ramifies over infinity alone
+    over_inf = {P for P, _, _ in fiber(cov, Place.infinite(K))}
+    assert set(rep.different_divisor.support()) <= over_inf
+    assert pushed == []
 
 
 def test_homogenize_by_horner(count_calls):
