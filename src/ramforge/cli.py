@@ -24,6 +24,7 @@ from .cover import (
 )
 from .errors import InternalCheckError, RamforgeError
 from .funcfield import (
+    _wronskian,
     laurent_expand,
     parse_place,
     parse_rational,
@@ -34,10 +35,11 @@ from .galois import GF
 from .polyring import factor as factor_poly
 from .polyring import irreducible_poly, parse_polynomial
 from .pseudotame import (
+    _check_completion,
+    _complete_square,
+    _critical_places,
     _local,
     _place_stream,
-    critical_places,
-    square_completion,
 )
 
 
@@ -171,8 +173,7 @@ def _cmd_belyi_tame(args):
     return chain_as_dict(chain), _chain_text(chain)
 
 
-def _place_facts(x, place):
-    local = _local(x, place)
+def _place_facts(place, local):
     return {
         "place": place.text("w"),
         "v_dx": local.v_dx,
@@ -190,9 +191,11 @@ def _facts_line(facts):
 def _cmd_pseudotame(args):
     field = GF(args.p, args.m)
     x = parse_rational(args.x, field, "w")
+    W = _wronskian(x)  # one W serves every record of x
     if args.at is not None:
         place = parse_place(args.at, field, "w")
-        facts = _place_facts(x, place)
+        local = _local(x, place, W)
+        facts = _place_facts(place, local)
         lines = [
             f"element: {x.to_text('w')} over {_field_text(field)}",
             f"place: {place.pretty('w')}",
@@ -205,11 +208,12 @@ def _cmd_pseudotame(args):
             partner = next(_place_stream(field, poles | {place}))
             if partner.degree == 1:
                 try:
-                    z = square_completion(x, place, partner, args.budget)
+                    _check_completion(x, place, partner)
+                    z = _complete_square(x, place, partner, args.budget, local)
                 except RamforgeError as exc:
                     lines.append(f"completion unavailable: {exc}")
                 else:
-                    # square_completion raises unless x + z^2 is tame here
+                    # the completion raises unless x + z^2 is tame here
                     witness = {"z": z.to_text("w"), "tame_after": True}
                     lines.append(f"completion z: {witness['z']}")
                     lines.append("x+z^2 tame here: yes")
@@ -217,8 +221,8 @@ def _cmd_pseudotame(args):
         facts["element"] = x.to_text("w")
         return facts, "\n".join(lines)
 
-    spots = critical_places(x)
-    rows = [_place_facts(x, place) for place in spots]
+    spots = _critical_places(x, W)
+    rows = [_place_facts(place, _local(x, place, W)) for place in spots]
     everywhere = all(r["pseudotame"] for r in rows)
     obj = {
         "element": x.to_text("w"),

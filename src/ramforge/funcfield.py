@@ -3,14 +3,15 @@ Laurent expansions, differentials, and genus-0 Riemann-Roch machinery.
 
 Places of the projective line are monic irreducible polynomials plus one
 infinite place.  Divisors are immutable sorted coefficient maps.  Laurent
-expansions are taken in a fixed prime element per place: x - alpha at a
-degree-1 finite place, 1/x at infinity, and for higher-degree places the
-function is base-changed to GF(q^d) where the place splits off a canonical
-(encoding-minimal) root.  Every expansion is one long division in
-polyring: the numerator and denominator, shifted to the place and
-reversed, divide to the reversed series, so expansions run on the same
-per-field kernels as every other polynomial.  Riemann-Roch spaces are
-written down explicitly, which is what genus 0 buys us.
+expansions are taken in a fixed prime element per place: 1/x at infinity,
+and x - alpha at a finite place of degree d, where alpha is the place's one
+canonical (encoding-minimal) root in the residue field GF(q^d) and the
+function is base-changed there (for d = 1, GF(q) itself).  Every expansion
+is one long division in polyring: the numerator and denominator, shifted
+to the place and reversed, divide to the reversed series, so expansions
+run on the same per-field kernels as every other polynomial.
+Riemann-Roch spaces are written down explicitly, which is what genus 0
+buys us.
 """
 
 import math
@@ -18,7 +19,7 @@ import math
 from . import polyring
 from .config import LAURENT_MARGIN, MAX_COVER_DEGREE
 from .errors import ParseError, PreconditionError, SizeBoundError
-from .galois import GF, FieldElement, embed
+from .galois import GF, FieldElement, _terms_text, embed
 from .polyring import Polynomial
 
 # ---------------------------------------------------------------------------
@@ -44,12 +45,6 @@ class Place:
     @classmethod
     def infinite(cls, field):
         return cls(field, None)
-
-    @classmethod
-    def finite(cls, poly):
-        if not polyring.is_irreducible(poly):
-            raise PreconditionError(f"{poly} is not irreducible")
-        return cls(poly.field, poly.monic())
 
     @classmethod
     def from_root(cls, alpha):
@@ -104,7 +99,10 @@ def parse_place(text, field, var="x"):
     poly = polyring.parse_polynomial(text, field, var)
     if poly.degree < 1:
         raise ParseError(f"{text!r} is not a place")
-    return Place.finite(poly.monic())
+    poly = poly.monic()
+    if not polyring.is_irreducible(poly):
+        raise PreconditionError(f"{poly.to_text(var)} is not irreducible")
+    return Place(field, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +537,7 @@ class LaurentSeries:
         ]
 
     def to_text(self, var="u"):
-        terms = self.terms()
-        if not terms:
-            return "0"
-        parts = []
-        for k, c in terms:
-            ct = str(c)
-            if "+" in ct:
-                ct = f"({ct})"
-            if k == 0:
-                parts.append(ct)
-                continue
-            xp = var if k == 1 else f"{var}^{k}"
-            parts.append(xp if c == 1 else f"{ct}*{xp}")
-        return "+".join(parts)
+        return _terms_text(self.terms(), var)
 
     def __str__(self):
         return self.to_text()
@@ -594,10 +579,11 @@ def default_precision(f):
 def laurent_expand(f, place, precision=None):
     """Expand f at a place in the canonical prime element.
 
-    Degree-1 finite place with root alpha: parameter x - alpha.  Infinite
-    place: parameter 1/x.  Degree d > 1: the function is base-changed to
-    GF(q^d), where the place acquires the encoding-minimal root alpha, and
-    the parameter is x - alpha; coefficients then live in GF(q^d).
+    Infinite place: parameter 1/x.  Finite place of degree d: f is
+    base-changed to the residue field GF(q^d) (for d = 1 that is GF(q)
+    itself and nothing is lifted), where the place has its canonical root
+    alpha, polyring._least_root of the lifted place polynomial; the
+    parameter is x - alpha and the coefficients live in GF(q^d).
     """
     if f.is_zero():
         raise PreconditionError("cannot expand the zero function")
@@ -614,19 +600,18 @@ def laurent_expand(f, place, precision=None):
         pad = f.den.degree - f.num.degree
         num = (0,) * pad + f.num._c[::-1]
         den = (0,) * -pad + f.den._c[::-1]
-    elif place.degree == 1:
-        alpha = -place.poly.coefficient(0)
-        num, den = f.num.shift(alpha)._c, f.den.shift(alpha)._c
     else:
         R = GF(K.p, K.m * place.degree)
 
         def lift(poly):
+            if R is K:
+                return poly
             return Polynomial(R, [embed(K, R, c) for c in poly.coeffs])
 
-        rts = polyring.roots(lift(place.poly))
-        if not rts:
+        alpha = polyring._least_root(lift(place.poly))
+        if alpha is None:
             raise PreconditionError("place polynomial has no root after base change")
-        num, den = lift(f.num).shift(rts[0])._c, lift(f.den).shift(rts[0])._c
+        num, den = lift(f.num).shift(alpha)._c, lift(f.den).shift(alpha)._c
     start, raw = _series_quotient(R, num, den, precision)
     return LaurentSeries(place, start, [FieldElement(R, v) for v in raw], R)
 

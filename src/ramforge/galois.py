@@ -78,7 +78,7 @@ class Field:
         self.p = p
         self.m = m
         self.q = p**m
-        self._embeddings = {}
+        self._least_roots = {}  # polyring._least_root: raw coefficients -> root
         self._mod_digits = None  # modulus coefficients, ascending, length m+1
         self._mod_bits = None  # for p = 2: the modulus as a bit vector
         self._exp = None
@@ -388,23 +388,31 @@ class FieldElement:
         return hash((self.field.p, self.field.m, self.val))
 
     def __str__(self):
-        if self.field.m == 1:
+        if self.field.m == 1:  # the one constant term, without the term loop
             return str(self.val)
-        digits = self.field.coeffs_of(self.val)
-        terms = []
-        for i in reversed(range(self.field.m)):
-            c = digits[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                z = "z" if i == 1 else f"z^{i}"
-                terms.append(z if c == 1 else f"{c}*{z}")
-        return "+".join(terms) if terms else "0"
+        return _terms_text(reversed([*enumerate(self.field.coeffs_of(self.val))]), "z")
 
     def __repr__(self):
         return f"{self.field!r}[{self}]"
+
+
+def _terms_text(terms, var):
+    """c*v^k for each (k, c) whose c does not print as 0, joined by +, or 0.
+    A c that prints as 1 leaves a bare v^k; one whose text holds a + gets
+    parentheses.  Field elements, polynomials and Laurent series use it."""
+    parts = []
+    for k, c in terms:
+        ct = str(c)
+        if ct == "0":
+            continue
+        if "+" in ct:
+            ct = f"({ct})"
+        if k == 0:
+            parts.append(ct)
+            continue
+        xp = var if k == 1 else f"{var}^{k}"
+        parts.append(xp if ct == "1" else f"{ct}*{xp}")
+    return "+".join(parts) or "0"
 
 
 def field_create(p, m=1):
@@ -440,20 +448,12 @@ def embed(src, dst, a):
         raise PreconditionError(
             f"GF({src.q}) does not embed in GF({dst.q}): {src.m} does not divide {dst.m}"
         )
-    if src.m == 1:
+    if src.m == 1 or src == dst:
         return dst.element(a.val)
-    if src == dst:
-        return dst.element(a.val)
-    key = (src.p, src.m)
-    if key not in dst._embeddings:
-        from .polyring import Polynomial, roots
+    from .polyring import Polynomial, _least_root
 
-        lifted = Polynomial(dst, tuple(src._mod_digits))
-        rs = roots(lifted)
-        if not rs:  # pragma: no cover - split is guaranteed when s | r
-            raise PreconditionError("source modulus has no root in destination")
-        dst._embeddings[key] = min(r.val for r in rs)
-    gamma = dst._embeddings[key]
+    # prime-field digits have the same encoding in every field of characteristic p
+    gamma = _least_root(Polynomial._raw(dst, src._mod_digits)).val
     # Horner on the power-basis coordinates of a
     acc = 0
     for c in reversed(src.coeffs_of(a.val)):

@@ -32,7 +32,7 @@ from operator import xor
 
 from .config import MAX_COVER_DEGREE
 from .errors import InternalCheckError, ParseError, PreconditionError, SizeBoundError
-from .galois import FieldElement, _prime_divisors
+from .galois import FieldElement, _prime_divisors, _terms_text
 from .record import Record
 
 # ---------------------------------------------------------------------------
@@ -685,6 +685,18 @@ def roots(f):
     return rs
 
 
+def _least_root(f):
+    """The encoding-minimal root of f in its own field, or None: the one
+    canonical root, of a place and of a subfield modulus (galois.embed).
+    Beyond degree 1, `roots` runs once per f and its field keeps the root."""
+    K = f.field
+    if f.degree == 1:
+        return FieldElement(K, K.mul_raw(K.neg_raw(f._c[0]), K.inv_raw(f._c[1])))
+    if f._c not in K._least_roots:
+        K._least_roots[f._c] = next(iter(roots(f)), None)
+    return K._least_roots[f._c]
+
+
 def is_irreducible(f):
     """Rabin's criterion via Frobenius powers.
 
@@ -766,27 +778,12 @@ def irreducible_poly(field, d):
 
 
 # ---------------------------------------------------------------------------
-# text form: terms c*X^k joined by + (or -), emitted in descending degree
+# text form: the terms c*X^k in descending degree, by galois._terms_text
 
 
 def format_polynomial(f, var="T"):
-    if f.is_zero():
-        return "0"
-    terms = []
-    for i in reversed(range(len(f._c))):
-        v = f._c[i]
-        if not v:
-            continue
-        c = FieldElement(f.field, v)
-        ct = str(c)
-        if "+" in ct:
-            ct = f"({ct})"
-        if i == 0:
-            terms.append(ct)
-            continue
-        xp = var if i == 1 else f"{var}^{i}"
-        terms.append(xp if c == 1 else f"{ct}*{xp}")
-    return "+".join(terms)
+    K = f.field
+    return _terms_text([(i, FieldElement(K, v)) for i, v in enumerate(f._c)][::-1], var)
 
 
 def _tokenize(s):

@@ -27,7 +27,6 @@ exact below v_P(dx) + 2, that both criteria and square completion read.
 """
 
 import itertools
-import math
 
 from . import polyring
 from .errors import InternalCheckError, PreconditionError
@@ -129,24 +128,25 @@ def cocycle_defect(x, y, t):
 # local tameness and pseudo-tameness
 
 
-def v_dx(x, P):
-    """Valuation of the differential dx at P (dw carries -2 at infinity).
+def _orders(x, P, W):
+    """(v_P(x), v_P(dx)) from x's W = N'D - ND'; a square x (W = 0) raises.
 
-    Valuations add, so v_P(dx/dw) = v_P(W) - 2 v_P(D) needs no gcd.
+    v_P(dx/dw) = v_P(W) - 2 v_P(D) needs no gcd, and v_P(D) = 0 where
+    v_P(N) > 0, so each of v_P(N), v_P(D), v_P(W) is taken at most once.
     """
-    W = _wronskian(x)
     if W.is_zero():
         raise PreconditionError("dx = 0: x is a square")
+    N, D = x.num, x.den
     if P.is_infinite:
-        return 2 * x.den.degree - W.degree - 2
-    return _poly_valuation(W, P.poly) - 2 * _poly_valuation(x.den, P.poly)
+        return D.degree - N.degree, 2 * D.degree - W.degree - 2
+    vN = _poly_valuation(N, P.poly)
+    vD = 0 if vN else _poly_valuation(D, P.poly)
+    return vN - vD, _poly_valuation(W, P.poly) - 2 * vD
 
 
-def _series_terms(x, P, upto):
-    """Laurent terms (exponent, coeff) of x at P, exact for exponents < upto."""
-    start = valuation(x, P)
-    prec = max(upto - start, 1)
-    return laurent_expand(x, P, prec).terms()
+def v_dx(x, P):
+    """Valuation of the differential dx at P (dw carries -2 at infinity)."""
+    return _orders(x, P, _wronskian(x))[1]
 
 
 class _Local(Record):
@@ -163,15 +163,17 @@ class _Local(Record):
         return all(k % 4 == 0 for k, _ in self.terms if k <= self.v_dx)
 
 
-def _local(x, P):
-    """The one record of x at P: one W, one expansion; a square x raises."""
-    v = v_dx(x, P)
-    return _Local(field=x.field, v_dx=v, terms=_series_terms(x, P, v + 2))
+def _local(x, P, W):
+    """The one record of x at P, read off x's W and one expansion; a
+    square x raises."""
+    start, v = _orders(x, P, W)
+    terms = laurent_expand(x, P, max(v + 2 - start, 1)).terms()
+    return _Local(field=x.field, v_dx=v, terms=terms)
 
 
 def element_is_tame_at(x, P):
     """Tame at P: the leading nonconstant exponent of x at P is odd."""
-    return not _is_pth_power(x) and _local(x, P).tame()
+    return not _is_pth_power(x) and _local(x, P, _wronskian(x)).tame()
 
 
 def is_pseudotame_at(x, P):
@@ -179,7 +181,7 @@ def is_pseudotame_at(x, P):
     _require_char2(x.field)
     if _is_pth_power(x):
         raise PreconditionError("x is a square; pseudo-tameness is undefined")
-    return _local(x, P).pseudotame()
+    return _local(x, P, _wronskian(x)).pseudotame()
 
 
 def critical_places(x):
@@ -190,9 +192,13 @@ def critical_places(x):
     the infinite place.  With dx/dw = W/D^2, those zeros lie among the
     factors of W; a factor of W that divides D is a pole anyway.
     """
+    return _critical_places(x, _wronskian(x))
+
+
+def _critical_places(x, W):
+    """critical_places of x, from x's W."""
     K = x.field
     places = {Place.infinite(K), *pole_divisor_of(x).support()}
-    W = _wronskian(x)
     if W.degree > 0:
         places.update(Place(K, g) for g, _ in polyring.factor(W).factors)
     return sorted(places, key=Place.sort_key)
@@ -233,10 +239,13 @@ def square_completion(x, P, Q, pole_budget=None):
     places away from P and Q; squares only touch even exponents, so the
     first odd exponent v_P(dx)+1 is an immovable finish line.
     """
-    from .funcfield import Divisor, rr_basis
+    _check_completion(x, P, Q)
+    return _complete_square(x, P, Q, pole_budget, _local(x, P, _wronskian(x)))
 
-    K = x.field
-    _require_char2(K)
+
+def _check_completion(x, P, Q):
+    """The preconditions of square_completion that come before x's record."""
+    _require_char2(x.field)
     if _is_pth_power(x):
         raise PreconditionError("x is a square; no odd exponent to finish at")
     if P == Q:
@@ -247,7 +256,13 @@ def square_completion(x, P, Q, pole_budget=None):
         )
     if valuation(x, P) < 0 or valuation(x, Q) < 0:
         raise PreconditionError("P and Q must avoid the poles of x")
-    local = _local(x, P)
+
+
+def _complete_square(x, P, Q, pole_budget, local):
+    """The body of square_completion, from x's record `local` at P."""
+    from .funcfield import Divisor, rr_basis
+
+    K = x.field
     j_odd = local.v_dx + 1
     n_max = max((j_odd - 1) // 2, 0)
     if pole_budget is None:
@@ -285,7 +300,8 @@ def square_completion(x, P, Q, pole_budget=None):
             raise InternalCheckError("no exact-order element in L(R - nP)")
         b = laurent_expand(z0, P, 1).coeffs[0]
         z = z + z0 * (coeff.pth_root() / b)
-        terms = _series_terms(x + z * z, P, j_odd + 1)
+        y = x + z * z  # its terms are exact below j_odd + 1
+        terms = laurent_expand(y, P, max(j_odd + 1 - valuation(y, P), 1)).terms()
     raise InternalCheckError("square completion failed to terminate")
 
 
@@ -306,8 +322,7 @@ def quartic_pole_reduction(x, Q):
         raise PreconditionError(
             "quartic pole reduction supports degree-1 and infinite places"
         )
-    local = _local(x, Q)
-    if not local.pseudotame():
+    if not _local(x, Q, _wronskian(x)).pseudotame():
         raise PreconditionError("x is not pseudo-tame at Q")
 
     if Q.is_infinite:
@@ -319,23 +334,21 @@ def quartic_pole_reduction(x, Q):
         )
     z = RationalFunction.constant(K, 0)
     cur = x
-    while True:
-        v = valuation(cur, Q)
-        if v is math.inf or v >= 0 or v % 4 != 0:
-            break
+    v = valuation(cur, Q)
+    while v < 0 and v % 4 == 0:
         k = -v // 4
         lead = laurent_expand(cur, Q, 1).coeffs[0]
         step = base**k * lead.pth_root().pth_root()
         z = z + step
-        nxt = cur + step**4
-        if not (valuation(nxt, Q) > v):  # pragma: no cover
+        cur = cur + step**4
+        v_next = valuation(cur, Q)
+        if not (v_next > v):  # pragma: no cover
             raise InternalCheckError("pole reduction made no progress")
-        cur = nxt
-    target = -local.v_dx - 1
-    if -valuation(cur, Q) != target:
-        raise InternalCheckError(
-            f"reduced pole order {-valuation(cur, Q)} != target {target}"
-        )
+        v = v_next
+    # the target is recomputed from x, not read off the record above
+    target = -v_dx(x, Q) - 1
+    if -v != target:
+        raise InternalCheckError(f"reduced pole order {-v} != target {target}")
     if not element_is_tame_at(cur, Q):
         raise InternalCheckError("reduced element is not tame at Q")
     return z, cur

@@ -279,6 +279,19 @@ def test_analyze_at_ramified_place(capsys):
     assert "(x=0) | e=3 f=1 d=2" in out
 
 
+@pytest.mark.parametrize(
+    "argv, place",
+    [
+        (["analyze", "--p", "2", "x^3+x", "--at", "t^2+t"], "t^2+t"),
+        (["laurent", "--p", "2", "1/(x+1)", "--at", "x^2"], "x^2"),
+    ],
+)
+def test_reducible_at_place_named_in_its_variable(capsys, argv, place):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (3, "")
+    assert err == f"ramforge: error: {place} is not irreducible\n"
+
+
 def test_pseudotame_witness_when_partner_exists(capsys):
     rc, out, _ = run(
         capsys, ["pseudotame", "--p", "2", "w^2+w^5", "--at", "w"]

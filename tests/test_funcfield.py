@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramforge import GF
+from ramforge import GF, embed, polyring
 from ramforge.config import MAX_COVER_DEGREE
 from ramforge.errors import ParseError, PreconditionError, SizeBoundError
 from ramforge.funcfield import (
@@ -27,7 +27,7 @@ from ramforge.funcfield import (
     rr_basis,
     valuation,
 )
-from ramforge.polyring import Polynomial, irreducibles, parse_polynomial
+from ramforge.polyring import Polynomial, irreducible_poly, irreducibles
 
 F2 = GF(2)
 F3 = GF(3)
@@ -90,8 +90,9 @@ def test_place_ordering():
 
 
 def test_place_rejects_reducible():
-    with pytest.raises(PreconditionError):
-        Place.finite(parse_polynomial("x^2+1", F2, "x"))
+    # the message names the place in the variable it was parsed in
+    with pytest.raises(PreconditionError, match=r"^t\^2\+1 is not irreducible$"):
+        pl(F2, "t^2+1", "t")
 
 
 def test_parse_place_monicizes():
@@ -297,6 +298,23 @@ def test_laurent_degree_two_place():
     assert [str(c) for c in s.coeffs] == ["z", "z+1", "z+1", "z+1", "z+1"]
     t = laurent_expand(rf(F2, "1/(x^2+x+1)"), P, 4)
     assert (t.start, [c.val for c in t.coeffs]) == (-1, [1, 1, 1, 1])
+
+
+def test_canonical_root_found_once_per_field(count_calls):
+    """An embedding and the root of a place come from one routine that
+    keeps each answer on its field: a second embed into GF(16) and a
+    second expansion at a degree-2 place of GF(4)(x) factor nothing."""
+    F4, F16 = GF(2, 2), GF(2, 4)
+    F16._least_roots.clear()
+    lifts = count_calls("roots", polyring)
+    images = [embed(F4, F16, F4.gen) for _ in range(2)]
+    assert len(lifts) == 1 and images[0] == images[1]
+    P = Place(F4, irreducible_poly(F4, 2))
+    f = rf(F4, "(x^3+z)/(x^2+z*x+1)")
+    series = [laurent_expand(f, P, 6) for _ in range(2)]
+    assert len(lifts) == 2
+    assert series[0].coeff_field is series[1].coeff_field is F16
+    assert (series[0].start, series[0].coeffs) == (series[1].start, series[1].coeffs)
 
 
 def test_laurent_of_zero_raises():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramforge import GF, funcfield, polyring, pseudotame
+from ramforge import GF, cli, funcfield, polyring, pseudotame
 from ramforge.cli import main
 from ramforge.errors import InternalCheckError, PreconditionError
 from ramforge.funcfield import (
@@ -450,23 +450,33 @@ def test_local_layer_work_counts(count_calls, capsys):
     factors.clear()
     assert pole_divisor_of(rf("w^3+w")).to_text("w") == "3*(inf)"
     assert factors == []
-    walls = count_calls("_wronskian", pseudotame)
+    walls = count_calls("_wronskian", pseudotame, funcfield, cli)
     expansions = count_calls("laurent_expand", pseudotame, funcfield)
+    valuations = count_calls("_poly_valuation", pseudotame, funcfield)
     lifts = count_calls("roots", polyring)
-    assert main(["pseudotame", "--p", "2", x.to_text("w")]) == 0
+    argv = ["pseudotame", "--p", "2", x.to_text("w")]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "(w=0), (w=1), (w^2+w+1=0), (w^3+w+1=0), (w=inf)" in out
-    # one W for critical_places and one per place; five distinct places
-    assert len(walls) <= 6
+    # one W for the element; one expansion at each of five distinct places;
+    # at each finite place v_P(N), v_P(D) and v_P(W) at most once each
+    assert len(walls) == 1
     assert len({P for _, P, _ in expansions}) == len(expansions) == 5
+    assert len(valuations) <= 3 * 4
+    # one canonical root per place of degree 2 or more, kept by its field
     assert len(lifts) <= 2
+    lifts.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert lifts == []
     walls.clear()
     expansions.clear()
     assert main(["pseudotame", "--p", "2", "w^2+w^5", "--at", "w"]) == 0
     assert "completion z: w" in capsys.readouterr().out
-    # the facts, the completion's record and its tameness check of x + z^2
-    assert len(walls) <= 3
-    assert len(expansions) <= 5
+    # one record, shared by the facts and the completion, and the
+    # completion's tameness check of x + z^2 from scratch
+    assert len(walls) == 2
+    assert len(expansions) == 4
 
 
 def test_quartic_moebius():
@@ -560,6 +570,20 @@ def test_pole_reduction_preconditions():
         quartic_pole_reduction(rf("(w^3+1)/w^4"), PINF)  # pole elsewhere
     with pytest.raises(PreconditionError):
         quartic_pole_reduction(rf("w^6+w^2+w"), PINF)  # not pseudo-tame
+
+
+def test_pole_reduction_takes_each_valuation_once(count_calls):
+    """The valuation from each progress check carries into the next step
+    and is the final pole order; the record of x and the tameness check
+    of the result read no valuation."""
+    valuations = count_calls("valuation", pseudotame, funcfield)
+    expansions = count_calls("laurent_expand", pseudotame, funcfield)
+    z, red = quartic_pole_reduction(rf("w^16+w^12+w^8+w^5+w"), PINF)
+    assert (z.to_text("w"), red.to_text("w")) == ("w^4+w^3+w^2", "w^5+w")
+    # one of x, then one per step of three: 4
+    assert len(valuations) <= 6
+    # the record of x, one leading term per step, the tameness check
+    assert len(expansions) == 5
 
 
 @given(st.integers(0, 10**6))

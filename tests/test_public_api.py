@@ -1,5 +1,5 @@
-"""Every exported name and public method does work for the library, its
-scripts or its benchmark."""
+"""Every exported name, public method, private function and private
+method does work for the library, its scripts or its benchmark."""
 
 import ast
 import pathlib
@@ -54,6 +54,21 @@ def _public_methods():
                     yield node.name, item.name
 
 
+def _private_functions():
+    """(module or class, name) for each private module-level function and
+    each private method of the library; dunder methods are not private."""
+    for f in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(f.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                owner, defs = node.name, node.body
+            else:
+                owner, defs = f.stem, [node]
+            for item in defs:
+                name = item.name if isinstance(item, ast.FunctionDef) else ""
+                if name.startswith("_") and not name.endswith("__"):
+                    yield owner, name
+
+
 def test_every_export_has_a_caller_outside_tests():
     # a name leaves TEST_ONLY once it gains a caller
     assert sorted(set(ramforge.__all__) - _used_names()) == sorted(TEST_ONLY)
@@ -71,4 +86,13 @@ def test_every_public_method_has_a_caller_outside_tests():
     """
     used = _used_names()
     unused = [f"{c}.{m}" for c, m in _public_methods() if m not in used]
+    assert unused == []
+
+
+def test_every_private_function_has_a_caller_outside_tests():
+    """A private helper that no library, script or benchmark file reads
+    outside its own def is left over from code that no longer calls it.
+    By name, as for the public methods above."""
+    used = _used_names()
+    unused = [f"{o}.{n}" for o, n in _private_functions() if n not in used]
     assert unused == []
