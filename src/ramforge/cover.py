@@ -19,7 +19,8 @@ raises InternalCheckError rather than ever being reported quietly.
 
 from . import polyring
 from .errors import InternalCheckError, PreconditionError
-from .funcfield import Divisor, Place, RationalFunction, _is_pth_power, _wronskian
+from .funcfield import Divisor, Place, RationalFunction, pole_divisor_of
+from .funcfield import _is_pth_power, _wronskian
 from .linalg import RelationTracker
 from .polyring import Polynomial
 from .record import Record
@@ -137,21 +138,15 @@ def fiber(cover, Q):
     K = cover.field
     if Q.field != K:
         raise PreconditionError("place over the wrong field")
-    g, h = cover.map.num, cover.map.den
     n = cover.degree
-    pts = []
     if Q.is_infinite:
-        e_inf = n - h.degree
-        if e_inf < 1:  # pragma: no cover
-            raise InternalCheckError("normalized cover with deg g <= deg h")
-        pts.append((Place.infinite(K), e_inf, 1))
-        for pl, e in polyring.factor(h).factors if h.degree > 0 else ():
-            pts.append((Place(K, pl), e, pl.degree))
+        pts = [(P, e, P.degree) for P, e in pole_divisor_of(cover.map).items()]
     else:
         s = Q.degree
-        N = _homogenize(Q.poly, g, h, s)
+        N = _homogenize(Q.poly, cover.map.num, cover.map.den, s)
         if N.degree != n * s:  # pragma: no cover
             raise InternalCheckError("fiber polynomial degree mismatch")
+        pts = []
         for pl, e in polyring.factor(N).factors:
             if pl.degree % s:  # pragma: no cover
                 raise InternalCheckError("residue degree not divisible")

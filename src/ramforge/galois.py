@@ -117,8 +117,6 @@ class Field:
             )
         return FieldElement(self, v)
 
-    __call__ = element
-
     @property
     def zero(self):
         return FieldElement(self, 0)

@@ -11,7 +11,9 @@ The factor chain is classical: squarefree decomposition (with p-th root
 extraction when the derivative vanishes), then distinct-degree splitting by
 Frobenius powers, then equal-degree splitting by Berlekamp's trace map: the
 absolute trace of a candidate modulo the part takes values in GF(p) at the
-roots, and any non-constant trace splits the part (see _edf).
+roots, and any non-constant trace splits the part (see _edf).  The
+distinct-degree split yields its blocks one by one: `is_irreducible` is
+Ben-Or's test on the first block, and `roots` splits the degree-1 block.
 
 The raw kernels _add, _sub, _mul and _divmod choose their loop once per
 call, from the field.  In characteristic 2 addition is XOR in every field.
@@ -32,7 +34,7 @@ from operator import xor
 
 from .config import MAX_COVER_DEGREE
 from .errors import InternalCheckError, ParseError, PreconditionError, SizeBoundError
-from .galois import FieldElement, _prime_divisors, _terms_text
+from .galois import FieldElement, _terms_text
 from .record import Record
 
 # ---------------------------------------------------------------------------
@@ -535,8 +537,14 @@ def squarefree_decompose(f):
 
 
 def _ddf(K, f):
-    """Distinct-degree split of a monic squarefree f: list of (product, d)."""
-    out = []
+    """Distinct-degree split of a monic f, yielding each (product, d) when found.
+
+    Step d takes g = gcd(x**(q**d) - x mod f, f), the product of the distinct
+    irreducible factors of f of degree dividing d.  In the first block d is
+    the least degree of an irreducible factor, so d = deg f exactly when f is
+    irreducible (Ben-Or's test).  The blocks multiply to f only when f is
+    squarefree, which is what `factor` passes.
+    """
     x = [0, 1]
     h = _mod(K, x, f)
     d = 0
@@ -545,12 +553,11 @@ def _ddf(K, f):
         h = _frob_q_mod(K, h, f)
         g = _gcd(K, _sub(K, h, x), f)
         if len(g) - 1 > 0:
-            out.append((g, d))
+            yield g, d
             f = _divmod(K, f, g)[0]
             h = _mod(K, h, f)
     if len(f) - 1 > 0:
-        out.append((f, len(f) - 1))
-    return out
+        yield f, len(f) - 1
 
 
 _SHIFTS_BEFORE_CHECK = 64  # failed shifts a before T**p == T is verified
@@ -675,14 +682,13 @@ def invert_mod(a, f):
 
 
 def roots(f):
-    """Distinct roots in the coefficient field, sorted by encoding."""
-    rs = []
+    """The distinct roots in the field, by encoding: the degree-1 block, split."""
+    if f.is_zero():
+        raise PreconditionError("cannot factor the zero polynomial")
     K = f.field
-    for g, _ in factor(f).factors:
-        if g.degree == 1:
-            rs.append(FieldElement(K, K.neg_raw(g._c[0])))
-    rs.sort(key=lambda r: r.val)
-    return rs
+    g, d = next(_ddf(K, _monic(K, f._c)[0]), ([], 0))
+    rs = [FieldElement(K, K.neg_raw(r[0])) for r in (_edf(K, g, 1) if d == 1 else ())]
+    return sorted(rs, key=lambda r: r.val)
 
 
 def _least_root(f):
@@ -698,33 +704,16 @@ def _least_root(f):
 
 
 def is_irreducible(f):
-    """Rabin's criterion via Frobenius powers.
+    """Ben-Or's test: the first block of the distinct-degree split has d = n.
 
     A polynomial of degree >= 2 with zero derivative lies in K[x**p]; over a
     finite (hence perfect) field it is the p-th power of a polynomial of
     positive degree, so it is rejected before any Frobenius step.
     """
-    if f.degree < 1:
-        return False
     K = f.field
-    n = f.degree
-    if n == 1:
-        return True
-    if not _derivative(K, f._c):
+    if f.degree < 1 or not _derivative(K, f._c):
         return False
-    fm = _monic(K, f._c)[0]
-    x = [0, 1]
-    checkpoints = {n // ell for ell in _prime_divisors(n)}
-    h = _mod(K, x, fm)
-    for i in range(1, n + 1):
-        h = _frob_q_mod(K, h, fm)
-        if i in checkpoints:
-            g = _gcd(K, _sub(K, h, x), fm)
-            if len(g) - 1 != 0:
-                return False
-        if i == n:
-            return h == _mod(K, x, fm)
-    return False  # pragma: no cover
+    return next(_ddf(K, _monic(K, f._c)[0]))[1] == f.degree
 
 
 def irreducibles(field, d):
@@ -759,7 +748,7 @@ def irreducible_poly(field, d):
     criterion; Lidl and Niederreiter, Finite Fields, Ch. 3).  Tr is
     GF(2)-linear, so Tr vanishes on every encoding below 2**k when Tr(z**i) = 0
     for all i < k: the least c with Tr(c) = 1 is z**k, encoding 2**k, for the
-    least such k.  One Rabin test confirms T^2 + T + z**k.
+    least such k.  One irreducibility test confirms T^2 + T + z**k.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
@@ -831,10 +820,14 @@ def _check_parsed_degree(degree, pos):
         )
 
 
+MAX_NESTING = 100  # parentheses; each level takes four frames of recursion
+
+
 class _PolyParser:
     def __init__(self, text, field, var):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.field = field
         self.var = var
 
@@ -902,8 +895,14 @@ class _PolyParser:
             raise ParseError(f"unknown name {tok[1]!r} at position {tok[2]}")
         if tok[0] == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise SizeBoundError(
+                    f"parenthesis at position {tok[2]} nests deeper than {MAX_NESTING}"
+                )
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token at position {tok[2]}")
 

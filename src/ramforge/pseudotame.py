@@ -328,10 +328,7 @@ def quartic_pole_reduction(x, Q):
     if Q.is_infinite:
         base = RationalFunction(Polynomial.x(K))
     else:
-        root = -Q.poly.coefficient(0)
-        base = RationalFunction.constant(K, 1) / RationalFunction(
-            Polynomial(K, [(-root).val, 1])
-        )
+        base = RationalFunction.constant(K, 1) / RationalFunction(Q.poly)
     z = RationalFunction.constant(K, 0)
     cur = x
     v = valuation(cur, Q)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from ramforge.cli import main
+from ramforge.polyring import MAX_NESTING
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.cmd"))
@@ -84,6 +85,30 @@ def test_size_bound_exit_4(capsys, monkeypatch):
     )
     assert rc == 4
     assert "ramforge: error:" in err
+
+
+def _nesting_argv(verb, depth):
+    def nest(text):
+        return "(" * depth + text + ")" * depth
+
+    return {
+        "factor": ["factor", "--p", "2", nest("T")],
+        "analyze": ["analyze", "--p", "2", nest("x^3+1"), "x"],
+        "laurent": ["laurent", "--p", "2", "1/" + nest("x+1"), "--at", "x"],
+    }[verb]
+
+
+@pytest.mark.parametrize("depth", [100, 101, 300, 10_000])
+@pytest.mark.parametrize("verb", ["factor", "analyze", "laurent"])
+def test_parenthesis_nesting_bound_exit_4(capsys, verb, depth):
+    rc, out, err = run(capsys, _nesting_argv(verb, depth))
+    if depth <= MAX_NESTING:
+        assert (rc, err) == (0, "")
+        return
+    assert (rc, out) == (4, "")
+    assert err.startswith("ramforge: error: parenthesis at position ")
+    assert f"nests deeper than {MAX_NESTING}" in err
+    assert "Traceback" not in err
 
 
 def test_internal_check_payload_on_stderr(capsys, monkeypatch):

@@ -205,9 +205,27 @@ def test_table_build_digit_multiplications(count_calls):
 # irreducibility: polynomials in K[x**p] are p-th powers
 
 
+class _EntryDegrees:
+    """(degree,) of each polynomial recorded entering the distinct-degree split,
+    read off the recorded (K, f) arguments when compared."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def degrees(self):
+        return [(len(f) - 1,) for _, f in self.calls]
+
+    def __eq__(self, other):
+        return self.degrees() == other
+
+    def __repr__(self):
+        return repr(self.degrees())
+
+
 def _count_rabin_tests(count_calls):
-    """Record (degree,) for every polynomial that reaches Rabin's test."""
-    return count_calls("_prime_divisors", polyring)
+    """Record (degree,) for every polynomial that reaches the irreducibility
+    test: its one entry into `_ddf`, whose first block decides it."""
+    return _EntryDegrees(count_calls("_ddf", polyring))
 
 
 @pytest.mark.parametrize(

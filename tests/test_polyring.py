@@ -193,6 +193,66 @@ def test_irreducible_poly_is_encoding_minimal(p, m_deg):
 
 
 # ---------------------------------------------------------------------------
+# is_irreducible and roots read the first block of the distinct-degree split
+
+
+def test_is_irreducible_stops_at_the_least_factor_degree(count_calls):
+    g3, g37 = irreducible_poly(F3, 3), irreducible_poly(F3, 37)
+    steps = count_calls("_frob_q_mod", polyring)
+    assert not is_irreducible(g3 * g37)
+    assert len(steps) <= 3
+
+
+def test_is_irreducible_of_an_irreducible_takes_half_its_degree(count_calls):
+    g40 = irreducible_poly(F3, 40)
+    steps = count_calls("_frob_q_mod", polyring)
+    assert is_irreducible(g40)
+    assert len(steps) == 20
+
+
+def test_roots_read_only_the_degree_one_block(count_calls):
+    f = poly(F3, "T+1") * irreducible_poly(F3, 3) * irreducible_poly(F3, 37)
+    steps = count_calls("_frob_q_mod", polyring)
+    factors = count_calls("factor", polyring)
+    parts = count_calls("squarefree_decompose", polyring)
+    assert roots(f) == [F3.element(2)]
+    assert len(steps) == 1
+    assert (factors, parts) == ([], [])
+
+
+DIFFERENTIAL_FIELDS = [GF(2), F4, GF(2, 3), F3, F9, F5, GF(7)]
+
+
+def _differential_inputs(field, rng):
+    """Seeded products c * g1^e1 * ... of degree below 30, with repeated and
+    p-th-power factors, random polynomials of degree 1 to 8, and constants."""
+    yield Polynomial.constant(field, rng.randrange(1, field.q))
+    for _ in range(60):
+        low = [rng.randrange(field.q) for _ in range(rng.randint(1, 8))]
+        yield Polynomial(field, low + [rng.randrange(1, field.q)])
+        f = Polynomial.constant(field, rng.randrange(1, field.q))
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 5)
+            e = rng.choice([1, 1, 1, 2, 3, field.p])
+            if f.degree + d * e > 24:
+                e = 1
+            g = Polynomial(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+            f = f * g**e
+        yield f
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=str)
+def test_roots_and_is_irreducible_match_factor(field):
+    rng = random.Random(1000 * field.p + field.m)
+    for f in _differential_inputs(field, rng):
+        fac = factor(f).factors
+        linear = [-g.coefficient(0) for g, _ in fac if g.degree == 1]
+        assert roots(f) == sorted(linear, key=lambda r: r.val), f
+        one = len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree == f.degree
+        assert is_irreducible(f) == one, f
+
+
+# ---------------------------------------------------------------------------
 # properties
 
 
