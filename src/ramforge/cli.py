@@ -24,7 +24,6 @@ from .cover import (
 )
 from .errors import InternalCheckError, RamforgeError
 from .funcfield import (
-    _wronskian,
     laurent_expand,
     parse_place,
     parse_rational,
@@ -37,9 +36,9 @@ from .polyring import irreducible_poly, parse_polynomial
 from .pseudotame import (
     _check_completion,
     _complete_square,
-    _critical_places,
     _local,
     _place_stream,
+    critical_places,
 )
 
 
@@ -191,10 +190,9 @@ def _facts_line(facts):
 def _cmd_pseudotame(args):
     field = GF(args.p, args.m)
     x = parse_rational(args.x, field, "w")
-    W = _wronskian(x)  # one W serves every record of x
     if args.at is not None:
         place = parse_place(args.at, field, "w")
-        local = _local(x, place, W)
+        local = _local(x, place)
         facts = _place_facts(place, local)
         lines = [
             f"element: {x.to_text('w')} over {_field_text(field)}",
@@ -221,8 +219,8 @@ def _cmd_pseudotame(args):
         facts["element"] = x.to_text("w")
         return facts, "\n".join(lines)
 
-    spots = _critical_places(x, W)
-    rows = [_place_facts(place, _local(x, place, W)) for place in spots]
+    spots = critical_places(x)
+    rows = [_place_facts(place, _local(x, place)) for place in spots]
     everywhere = all(r["pseudotame"] for r in rows)
     obj = {
         "element": x.to_text("w"),

@@ -690,16 +690,18 @@ def rr_basis(D):
     ]
 
 
-def prescribed_element(
-    D, P, n=None, avoid=(), zero_at=None, search_limit=65536
-):
+# candidates prescribed_element tries when q^dim is too large to search all
+_SEARCH_LIMIT = 65536
+
+
+def prescribed_element(D, P, n=None, avoid=(), zero_at=None):
     """An f with (f)_0 >= D, pole divisor exactly n*P, v_R(f) = 0 on avoid.
 
     zero_at = (Q, k) additionally forces v_Q(f) >= k.  With n=None the
     least feasible pole order is found by upward sweep.  Candidates are
     combinations of the Riemann-Roch basis of n*P - D - k*Q, enumerated
     deterministically with the highest basis elements varying first; the
-    search is exhaustive whenever q^dim <= search_limit, so a failure in
+    search is exhaustive whenever q^dim <= _SEARCH_LIMIT, so a failure in
     that regime is a proof of infeasibility.
     """
     K = D.field
@@ -722,9 +724,7 @@ def prescribed_element(
         last_err = None
         for cand_n in range(n0, n0 + 65):
             try:
-                return prescribed_element(
-                    D, P, cand_n, avoid, zero_at, search_limit
-                )
+                return prescribed_element(D, P, cand_n, avoid, zero_at)
             except (PreconditionError, SizeBoundError) as e:
                 last_err = e
         raise SizeBoundError(
@@ -752,8 +752,8 @@ def prescribed_element(
     dim = len(basis)
     q = K.q
     total = q**dim
-    exhaustive = total <= search_limit
-    limit = total if exhaustive else search_limit + 1
+    exhaustive = total <= _SEARCH_LIMIT
+    limit = total if exhaustive else _SEARCH_LIMIT + 1
     for idx in range(1, limit):
         # digits of idx, highest basis elements first
         f = None
@@ -777,5 +777,5 @@ def prescribed_element(
             f"{total - 1} candidates found no element"
         )
     raise SizeBoundError(
-        f"search budget {search_limit} exhausted over a space of size {total}"
+        f"search budget {_SEARCH_LIMIT} exhausted over a space of size {total}"
     )

@@ -12,8 +12,8 @@ extraction when the derivative vanishes), then distinct-degree splitting by
 Frobenius powers, then equal-degree splitting by Berlekamp's trace map: the
 absolute trace of a candidate modulo the part takes values in GF(p) at the
 roots, and any non-constant trace splits the part (see _edf).  The
-distinct-degree split yields its blocks one by one: `is_irreducible` is
-Ben-Or's test on the first block, and `roots` splits the degree-1 block.
+distinct-degree split yields every block, empty or not: `is_irreducible` is
+Ben-Or's test on the first nonempty one, and `roots` splits the d = 1 block.
 
 The raw kernels _add, _sub, _mul and _divmod choose their loop once per
 call, from the field.  In characteristic 2 addition is XOR in every field.
@@ -537,13 +537,13 @@ def squarefree_decompose(f):
 
 
 def _ddf(K, f):
-    """Distinct-degree split of a monic f, yielding each (product, d) when found.
+    """Distinct-degree split of a monic f, yielding (product, d) at each step.
 
     Step d takes g = gcd(x**(q**d) - x mod f, f), the product of the distinct
-    irreducible factors of f of degree dividing d.  In the first block d is
-    the least degree of an irreducible factor, so d = deg f exactly when f is
-    irreducible (Ben-Or's test).  The blocks multiply to f only when f is
-    squarefree, which is what `factor` passes.
+    irreducible factors of f of degree dividing d, yielded even when it is 1.
+    In the first nonempty block d is the least degree of an irreducible
+    factor, so d = deg f exactly when f is irreducible (Ben-Or's test).  The
+    blocks multiply to f only when f is squarefree, which `factor` passes.
     """
     x = [0, 1]
     h = _mod(K, x, f)
@@ -552,8 +552,8 @@ def _ddf(K, f):
         d += 1
         h = _frob_q_mod(K, h, f)
         g = _gcd(K, _sub(K, h, x), f)
+        yield g, d
         if len(g) - 1 > 0:
-            yield g, d
             f = _divmod(K, f, g)[0]
             h = _mod(K, h, f)
     if len(f) - 1 > 0:
@@ -664,7 +664,7 @@ def factor(f):
     pieces = []
     for g, mult in squarefree_decompose(f):
         for prod, d in _ddf(K, list(g._c)):
-            for irr in _edf(K, prod, d):
+            for irr in _edf(K, prod, d) if len(prod) > 1 else ():
                 pieces.append((Polynomial._raw(K, irr), mult))
     pieces.sort(key=lambda t: (t[0].degree, t[0].encoding()))
     fac = Factorization(unit=unit, factors=tuple(pieces))
@@ -686,8 +686,10 @@ def roots(f):
     if f.is_zero():
         raise PreconditionError("cannot factor the zero polynomial")
     K = f.field
-    g, d = next(_ddf(K, _monic(K, f._c)[0]), ([], 0))
-    rs = [FieldElement(K, K.neg_raw(r[0])) for r in (_edf(K, g, 1) if d == 1 else ())]
+    g = next(_ddf(K, _monic(K, f._c)[0]), ([1], 0))[0]
+    if len(g) < 2:
+        return []
+    rs = [FieldElement(K, K.neg_raw(r[0])) for r in _edf(K, g, 1)]
     return sorted(rs, key=lambda r: r.val)
 
 
@@ -704,7 +706,7 @@ def _least_root(f):
 
 
 def is_irreducible(f):
-    """Ben-Or's test: the first block of the distinct-degree split has d = n.
+    """Ben-Or's test: the first nonempty distinct-degree block has d = n.
 
     A polynomial of degree >= 2 with zero derivative lies in K[x**p]; over a
     finite (hence perfect) field it is the p-th power of a polynomial of
@@ -713,7 +715,7 @@ def is_irreducible(f):
     K = f.field
     if f.degree < 1 or not _derivative(K, f._c):
         return False
-    return next(_ddf(K, _monic(K, f._c)[0]))[1] == f.degree
+    return next(d for g, d in _ddf(K, _monic(K, f._c)[0]) if len(g) > 1) == f.degree
 
 
 def irreducibles(field, d):

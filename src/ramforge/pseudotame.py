@@ -18,23 +18,23 @@ Squares are recognized by a vanishing derivative, which over a perfect
 constant field is exact (`funcfield._is_pth_power`; for p = 2 the p-th
 powers are the squares).
 
-The local layer reads x = N/D directly: dx/dw = W/D^2 with W = N'D - ND',
-left unreduced, so v_P(dx) = v_P(W) - 2 v_P(D) at a finite place and
-2 deg D - deg W - 2 at infinity, and the zeros of dx/dw lie among the
-factors of W.  No rational-function derivative is formed.  One record per
-(element, place) carries v_P(dx) and the single expansion of x at P,
-exact below v_P(dx) + 2, that both criteria and square completion read.
+The record of x at P, read by both criteria and square completion, is one
+Laurent expansion sum c_k u^k: dx = (sum k c_k u^(k-1)) du, so v_P(dx) + 1
+is the least k with c_k != 0 and p not dividing k (Stichtenoth, Ch. IV).
+W = N'D - ND' (dx/dw = W/D^2, unreduced) serves only `critical_places`:
+the zeros of dx/dw lie among its factors.  No rational-function
+derivative is formed.
 """
 
 import itertools
 
 from . import polyring
-from .errors import InternalCheckError, PreconditionError
+from .config import MAX_COVER_DEGREE
+from .errors import InternalCheckError, PreconditionError, SizeBoundError
 from .funcfield import (
     Place,
     RationalFunction,
     _is_pth_power,
-    _poly_valuation,
     _wronskian,
     laurent_expand,
     pole_divisor_of,
@@ -128,29 +128,13 @@ def cocycle_defect(x, y, t):
 # local tameness and pseudo-tameness
 
 
-def _orders(x, P, W):
-    """(v_P(x), v_P(dx)) from x's W = N'D - ND'; a square x (W = 0) raises.
-
-    v_P(dx/dw) = v_P(W) - 2 v_P(D) needs no gcd, and v_P(D) = 0 where
-    v_P(N) > 0, so each of v_P(N), v_P(D), v_P(W) is taken at most once.
-    """
-    if W.is_zero():
-        raise PreconditionError("dx = 0: x is a square")
-    N, D = x.num, x.den
-    if P.is_infinite:
-        return D.degree - N.degree, 2 * D.degree - W.degree - 2
-    vN = _poly_valuation(N, P.poly)
-    vD = 0 if vN else _poly_valuation(D, P.poly)
-    return vN - vD, _poly_valuation(W, P.poly) - 2 * vD
-
-
 def v_dx(x, P):
     """Valuation of the differential dx at P (dw carries -2 at infinity)."""
-    return _orders(x, P, _wronskian(x))[1]
+    return _local(x, P).v_dx
 
 
 class _Local(Record):
-    # field: of x; v_dx: v_P(dx); terms: of x at P, exact below v_dx + 2
+    # field: of x; v_dx: v_P(dx); terms: of x at P, exact through v_dx + 1
     __slots__ = ("field", "v_dx", "terms")
 
     def tame(self):
@@ -163,17 +147,26 @@ class _Local(Record):
         return all(k % 4 == 0 for k, _ in self.terms if k <= self.v_dx)
 
 
-def _local(x, P, W):
-    """The one record of x at P, read off x's W and one expansion; a
-    square x raises."""
-    start, v = _orders(x, P, W)
-    terms = laurent_expand(x, P, max(v + 2 - start, 1)).terms()
-    return _Local(field=x.field, v_dx=v, terms=terms)
+def _local(x, P):
+    """The one record of x at P, one expansion; a square x raises.
+
+    For x = N/D, n = deg N, m = deg D and W != 0, the k of v_P(dx) = k - 1
+    is term k - v_P(x) + 1 = v_P(W) - v_P(N) - v_P(D) + 2 <= n + m + 1 at
+    a finite place, and n + m - deg W at infinity.
+    """
+    if _is_pth_power(x):
+        raise PreconditionError("dx = 0: x is a square")
+    precision = min(x.num.degree + x.den.degree + 1, MAX_COVER_DEGREE)
+    terms = laurent_expand(x, P, precision).terms()
+    k = next((k for k, _ in terms if k % x.field.p), None)
+    if k is None:  # only when the cap cut the expansion short
+        raise SizeBoundError(f"v_P(dx) lies past the {MAX_COVER_DEGREE}-term cap")
+    return _Local(field=x.field, v_dx=k - 1, terms=terms)
 
 
 def element_is_tame_at(x, P):
     """Tame at P: the leading nonconstant exponent of x at P is odd."""
-    return not _is_pth_power(x) and _local(x, P, _wronskian(x)).tame()
+    return not _is_pth_power(x) and _local(x, P).tame()
 
 
 def is_pseudotame_at(x, P):
@@ -181,7 +174,7 @@ def is_pseudotame_at(x, P):
     _require_char2(x.field)
     if _is_pth_power(x):
         raise PreconditionError("x is a square; pseudo-tameness is undefined")
-    return _local(x, P, _wronskian(x)).pseudotame()
+    return _local(x, P).pseudotame()
 
 
 def critical_places(x):
@@ -192,12 +185,8 @@ def critical_places(x):
     the infinite place.  With dx/dw = W/D^2, those zeros lie among the
     factors of W; a factor of W that divides D is a pole anyway.
     """
-    return _critical_places(x, _wronskian(x))
-
-
-def _critical_places(x, W):
-    """critical_places of x, from x's W."""
     K = x.field
+    W = _wronskian(x)
     places = {Place.infinite(K), *pole_divisor_of(x).support()}
     if W.degree > 0:
         places.update(Place(K, g) for g, _ in polyring.factor(W).factors)
@@ -240,7 +229,7 @@ def square_completion(x, P, Q, pole_budget=None):
     first odd exponent v_P(dx)+1 is an immovable finish line.
     """
     _check_completion(x, P, Q)
-    return _complete_square(x, P, Q, pole_budget, _local(x, P, _wronskian(x)))
+    return _complete_square(x, P, Q, pole_budget, _local(x, P))
 
 
 def _check_completion(x, P, Q):
@@ -300,8 +289,8 @@ def _complete_square(x, P, Q, pole_budget, local):
             raise InternalCheckError("no exact-order element in L(R - nP)")
         b = laurent_expand(z0, P, 1).coeffs[0]
         z = z + z0 * (coeff.pth_root() / b)
-        y = x + z * z  # its terms are exact below j_odd + 1
-        terms = laurent_expand(y, P, max(j_odd + 1 - valuation(y, P), 1)).terms()
+        # v_P(x + z^2) >= 0 (z vanishes at P): exact through j_odd
+        terms = laurent_expand(x + z * z, P, j_odd + 1).terms()
     raise InternalCheckError("square completion failed to terminate")
 
 
@@ -322,7 +311,8 @@ def quartic_pole_reduction(x, Q):
         raise PreconditionError(
             "quartic pole reduction supports degree-1 and infinite places"
         )
-    if not _local(x, Q, _wronskian(x)).pseudotame():
+    local = _local(x, Q)
+    if not local.pseudotame():
         raise PreconditionError("x is not pseudo-tame at Q")
 
     if Q.is_infinite:
@@ -342,8 +332,7 @@ def quartic_pole_reduction(x, Q):
         if not (v_next > v):  # pragma: no cover
             raise InternalCheckError("pole reduction made no progress")
         v = v_next
-    # the target is recomputed from x, not read off the record above
-    target = -v_dx(x, Q) - 1
+    target = -local.v_dx - 1
     if -v != target:
         raise InternalCheckError(f"reduced pole order {-v} != target {target}")
     if not element_is_tame_at(cur, Q):

@@ -220,6 +220,17 @@ def test_roots_read_only_the_degree_one_block(count_calls):
     assert (factors, parts) == ([], [])
 
 
+def test_roots_of_a_rootless_polynomial_take_one_step(count_calls):
+    """The empty degree-1 block decides: no walk to the least factor degree."""
+    g5, g31, g40 = (irreducible_poly(F3, d) for d in (5, 31, 40))
+    steps = count_calls("_frob_q_mod", polyring)
+    assert roots(g40) == []
+    assert len(steps) == 1
+    steps.clear()
+    assert roots(g5 * g31) == []
+    assert len(steps) == 1
+
+
 DIFFERENTIAL_FIELDS = [GF(2), F4, GF(2, 3), F3, F9, F5, GF(7)]
 
 

@@ -408,12 +408,13 @@ def test_critical_places_of_zero_raise():
 
 
 @given(data=st.data())
-@settings(max_examples=40)
+@settings(max_examples=80)
 def test_local_layer_matches_derivative_route(data):
     """v_dx and critical_places on x = N/D against the reduced derivative
-    x' and its valuation, over GF(2), GF(4) and GF(8), at every critical
-    place (degree-2 poles included)."""
-    K = data.draw(st.sampled_from([GF(2), GF(2, 2), GF(2, 3)]))
+    x' and its valuation, over GF(2), GF(4), GF(8), GF(3), GF(5) and
+    GF(9), at every critical place (degree-2 poles included)."""
+    fields = [GF(2), GF(2, 2), GF(2, 3), GF(3), GF(5), GF(3, 2)]
+    K = data.draw(st.sampled_from(fields))
     coeffs = st.integers(0, K.q - 1)
     num = Polynomial(K, data.draw(st.lists(coeffs, min_size=1, max_size=8)))
     den = Polynomial(K, data.draw(st.lists(coeffs, min_size=1, max_size=4)))
@@ -431,11 +432,41 @@ def test_local_layer_matches_derivative_route(data):
         assert v_dx(x, P) == valuation(xp, P) - (2 if P.is_infinite else 0)
 
 
+@pytest.mark.parametrize("K", [GF(2), GF(2, 2), GF(3), GF(5), GF(3, 2)])
+def test_v_dx_needs_every_term_at_a_finite_place(K):
+    """x = w^k + 1 at (w), p not dividing k: v_dx = k - 1, read off the
+    last of the deg N + deg D + 1 terms the record expands."""
+    w = RationalFunction(Polynomial.x(K))
+    one = RationalFunction.constant(K, 1)
+    zero = Place.from_root(K.element(0))
+    for k in range(1, 14):
+        if k % K.p:
+            assert v_dx(w**k + one, zero) == k - 1
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(2, 2), GF(3), GF(5), GF(3, 2)])
+def test_v_dx_needs_deg_n_terms_at_infinity(K):
+    """x = w^(p j) + w at infinity: the first exponent prime to p is -1,
+    term p j = deg N of the expansion, and v_dx = v(dw) = -2."""
+    w = RationalFunction(Polynomial.x(K))
+    for j in range(1, 6):
+        assert v_dx(w ** (K.p * j) + w, Place.infinite(K)) == -2
+
+
+def test_v_dx_at_the_degree_cap():
+    """deg N + deg D + 1 = 65537 terms pass the cap, but at infinity
+    w^65536 + w needs 65536, so the record expands up to the cap."""
+    x = rf("w^65536+w")
+    assert (v_dx(x, PINF), v_dx(x, P0)) == (-2, 0)
+    assert is_pseudotame_at(x, PINF) and not element_is_tame_at(x, PINF)
+
+
 def test_local_layer_work_counts(count_calls, capsys):
     """The local layer reads x = N/D: no rational-function derivative, and
     the pole divisor factors the denominator alone, if it is not constant.
-    The CLI builds one W and one expansion per (element, place), and lifts
-    each place of degree 2 or more once."""
+    The CLI builds one W, for the critical places, and one expansion per
+    (element, place), takes no polynomial valuation, and lifts each place
+    of degree 2 or more once."""
     derivatives = count_calls("derivative", RationalFunction)
     factors = count_calls("factor", polyring)
     x = rf("(w^7+w^4+w+1)/(w^3+w^2+w)")
@@ -450,19 +481,19 @@ def test_local_layer_work_counts(count_calls, capsys):
     factors.clear()
     assert pole_divisor_of(rf("w^3+w")).to_text("w") == "3*(inf)"
     assert factors == []
-    walls = count_calls("_wronskian", pseudotame, funcfield, cli)
+    walls = count_calls("_wronskian", pseudotame, funcfield)
     expansions = count_calls("laurent_expand", pseudotame, funcfield)
-    valuations = count_calls("_poly_valuation", pseudotame, funcfield)
+    valuations = count_calls("_poly_valuation", funcfield)
     lifts = count_calls("roots", polyring)
     argv = ["pseudotame", "--p", "2", x.to_text("w")]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "(w=0), (w=1), (w^2+w+1=0), (w^3+w+1=0), (w=inf)" in out
-    # one W for the element; one expansion at each of five distinct places;
-    # at each finite place v_P(N), v_P(D) and v_P(W) at most once each
+    # one W for the critical places; one expansion at each of five
+    # distinct places, and v_P(dx) read off it with no valuation
     assert len(walls) == 1
     assert len({P for _, P, _ in expansions}) == len(expansions) == 5
-    assert len(valuations) <= 3 * 4
+    assert valuations == []
     # one canonical root per place of degree 2 or more, kept by its field
     assert len(lifts) <= 2
     lifts.clear()
@@ -474,8 +505,8 @@ def test_local_layer_work_counts(count_calls, capsys):
     assert main(["pseudotame", "--p", "2", "w^2+w^5", "--at", "w"]) == 0
     assert "completion z: w" in capsys.readouterr().out
     # one record, shared by the facts and the completion, and the
-    # completion's tameness check of x + z^2 from scratch
-    assert len(walls) == 2
+    # completion's tameness check of x + z^2 from scratch; no W at all
+    assert walls == []
     assert len(expansions) == 4
 
 
