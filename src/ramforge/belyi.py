@@ -16,9 +16,8 @@ composite by the ramification engine; a mismatch raises InternalCheckError.
 """
 
 import math
-import os
 
-from .config import MAX_COVER_DEGREE, MAX_DEGREE_ENV
+from .config import MAX_COVER_DEGREE
 from .cover import (
     compose,
     cover_create,
@@ -43,23 +42,10 @@ class BelyiChain(Record):
     __slots__ = ("steps", "step_reports", "composite", "kind", "report", "certificate")
 
 
-def _max_degree():
-    raw = os.environ.get(MAX_DEGREE_ENV)
-    if raw is None:
-        return MAX_COVER_DEGREE
-    try:
-        return int(raw)
-    except ValueError:
-        raise PreconditionError(f"{MAX_DEGREE_ENV} is not an integer: {raw!r}")
-
-
 def _check_degree(n, what):
     """Raise SizeBoundError when a map of degree n would pass the cap."""
-    cap = _max_degree()
-    if n > cap:
-        raise SizeBoundError(
-            f"{what} = {n} exceeds the cap {cap} (override with {MAX_DEGREE_ENV})"
-        )
+    if n > MAX_COVER_DEGREE:
+        raise SizeBoundError(f"{what} = {n} exceeds the cap {MAX_COVER_DEGREE}")
 
 
 def _require(cond, name, detail):

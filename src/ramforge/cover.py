@@ -125,7 +125,7 @@ def _homogenize(poly, g, h, n):
     for i in range(n - 1, -1, -1):
         acc, hp = polyring._mul(K, acc, g._c), polyring._mul(K, hp, h._c)
         if i < len(c) and c[i]:
-            acc = polyring._add(K, acc, polyring._scalar(K, hp, c[i]))
+            acc = polyring._add(K, acc, polyring._mul(K, hp, [c[i]]))
     return Polynomial._raw(K, acc)
 
 
@@ -162,25 +162,34 @@ def fiber(cover, Q):
 
 
 def pushforward_place(cover, P):
-    """The place of the downstairs field lying under P."""
+    """The place of the downstairs field lying under P.
+
+    Below a finite P that does not divide h lies the minimal polynomial
+    sum c_i T^i of w = g/h mod P: the first linear relation among
+    1, w, ..., w^d, d = deg P.  Times the unit h^d these are
+    v_i = g^i h^(d-i) mod P, with the same first relation, so no inverse
+    of h is taken.
+    """
     K = cover.field
-    g, h = cover.map.num, cover.map.den
     if P.is_infinite:
         return Place.infinite(K)
     p = P.poly
-    if (h % p).is_zero():
+    g, h = cover.map.num % p, cover.map.den % p
+    if h.is_zero():
         return Place.infinite(K)
-    hinv = polyring.invert_mod(h % p, p)
-    w = (g % p) * hinv % p
     d = p.degree
+    h_powers = [Polynomial.constant(K, 1)]
+    for _ in range(d):
+        h_powers.append(h_powers[-1] * h % p)
     tracker = RelationTracker(K, d)
-    power = Polynomial.constant(K, 1)
-    while True:
-        vec = [power._c[i] if i < len(power._c) else 0 for i in range(d)]
-        combo = tracker.add(vec)
+    g_power = Polynomial.constant(K, 1)
+    for h_power in reversed(h_powers):  # d + 1 vectors in dimension d
+        v = (g_power * h_power % p)._c
+        combo = tracker.add(list(v) + [0] * (d - len(v)))
         if combo is not None:
             return Place(K, Polynomial(K, combo))
-        power = power * w % p
+        g_power = g_power * g % p
+    raise InternalCheckError("no relation among d + 1 vectors")  # pragma: no cover
 
 
 def conorm(cover, D):

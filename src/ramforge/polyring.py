@@ -141,12 +141,6 @@ def _mul(K, a, b):
     return _trim(out)
 
 
-def _scalar(K, a, s):
-    if s == 0:
-        return []
-    return _trim([K.mul_raw(c, s) for c in a])
-
-
 def _divmod(K, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -188,24 +182,6 @@ def _gcd(K, a, b):
     while b:
         a, b = b, _mod(K, a, b)
     return _monic(K, a)[0]
-
-
-def _ext_gcd(K, a, b):
-    """(g, s, t) with s*a + t*b = g, g the monic gcd."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _divmod(K, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(K, s0, _mul(K, q, s1))
-        t0, t1 = t1, _sub(K, t0, _mul(K, q, t1))
-    if not r0:
-        return [], s0, t0
-    if r0[-1] != 1:
-        inv = K.inv_raw(r0[-1])
-        r0, s0, t0 = (_scalar(K, v, inv) for v in (r0, s0, t0))
-    return r0, s0, t0
 
 
 def _derivative(K, a):
@@ -484,14 +460,32 @@ class Factorization(Record):
     # by (degree, encoding)
     __slots__ = ("unit", "factors")
 
-    def __iter__(self):
-        return iter(self.factors)
-
 
 def gcd(a, b):
     if a.field != b.field:
         raise PreconditionError("polynomials over different fields")
     return Polynomial._raw(a.field, _gcd(a.field, a._c, b._c))
+
+
+def _divide_out(K, c, w):
+    """(c / w^k, k) for the largest k with w^k | c, in about 2 log2(k)
+    divisions: divide by w, w^2, w^4, ... while they divide; w's power in
+    what is left is below the first that failed, and the same powers,
+    descending, read off its binary digits."""
+    pows, k, pw = [], 0, w
+    while len(pw) <= len(c):
+        q, r = _divmod(K, c, pw)
+        if r:
+            break
+        c, k = q, 2 * k + 1
+        pows.append(pw)
+        pw = _mul(K, pw, pw)
+    for j in range(len(pows) - 1, -1, -1):
+        if len(pows[j]) <= len(c):
+            q, r = _divmod(K, c, pows[j])
+            if not r:
+                c, k = q, k + (1 << j)
+    return c, k
 
 
 def squarefree_decompose(f):
@@ -522,6 +516,10 @@ def squarefree_decompose(f):
         i = 1
         while len(w) - 1 > 0:
             y = _gcd(K, w, c)
+            if len(y) == len(w):  # no part has multiplicity i: go to the next
+                c, k = _divide_out(K, c, w)
+                i += k
+                continue
             z = _divmod(K, w, y)[0]
             emit(z, i * scale)
             i += 1
@@ -669,16 +667,6 @@ def factor(f):
     pieces.sort(key=lambda t: (t[0].degree, t[0].encoding()))
     fac = Factorization(unit=unit, factors=tuple(pieces))
     return fac
-
-
-def invert_mod(a, f):
-    """The inverse of a modulo f; requires gcd(a, f) = 1."""
-    K = a.field
-    g, s, _ = _ext_gcd(K, a._c, f._c)
-    if len(g) - 1 != 0:
-        raise PreconditionError("element not invertible modulo f")
-    inv0 = K.inv_raw(g[0])
-    return Polynomial._raw(K, _mod(K, _scalar(K, s, inv0), f._c))
 
 
 def roots(f):

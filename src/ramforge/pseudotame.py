@@ -211,13 +211,6 @@ def _place_stream(field, forbidden):
             yield P
 
 
-def _exact_order_element(basis, P, n):
-    for b in basis:
-        if valuation(b, P) == n:
-            return b
-    return None  # pragma: no cover
-
-
 def square_completion(x, P, Q, pole_budget=None):
     """A z with simple poles, v_Q(z) >= 0, and x + z^2 tame at P.
 
@@ -225,8 +218,10 @@ def square_completion(x, P, Q, pole_budget=None):
     running element at P.  Odd j means tame: a nonzero constant works.
     Even j = 2n is cancelled by a multiple of an element with valuation
     exactly n at P and simple poles inside a growing reservoir R of
-    places away from P and Q; squares only touch even exponents, so the
-    first odd exponent v_P(dx)+1 is an immovable finish line.
+    places away from P and Q, deg R >= n: with h the product of the finite
+    places of R, P^n/h at a finite P and w^(deg h - n)/h at infinity.
+    Squares only touch even exponents, so the first odd exponent
+    v_P(dx)+1 is an immovable finish line.
     """
     _check_completion(x, P, Q)
     return _complete_square(x, P, Q, pole_budget, _local(x, P))
@@ -249,8 +244,6 @@ def _check_completion(x, P, Q):
 
 def _complete_square(x, P, Q, pole_budget, local):
     """The body of square_completion, from x's record `local` at P."""
-    from .funcfield import Divisor, rr_basis
-
     K = x.field
     j_odd = local.v_dx + 1
     n_max = max((j_odd - 1) // 2, 0)
@@ -263,12 +256,8 @@ def _complete_square(x, P, Q, pole_budget, local):
         )
 
     stream = _place_stream(K, {P, Q})
-    reservoir = []
-
-    def reservoir_divisor(min_degree):
-        while sum(pl.degree for pl in reservoir) < min_degree:
-            reservoir.append(next(stream))
-        return Divisor(K, [(pl, 1) for pl in reservoir])
+    room = 0  # deg R
+    h = Polynomial.constant(K, 1)  # the product of the finite places of R
 
     one = RationalFunction.constant(K, 1)
     z = RationalFunction.constant(K, 0)
@@ -283,10 +272,15 @@ def _complete_square(x, P, Q, pole_budget, local):
                 raise InternalCheckError("square completion output not tame")
             return result
         n = j // 2
-        R = reservoir_divisor(n)
-        z0 = _exact_order_element(rr_basis(R - Divisor(K, [(P, n)])), P, n)
-        if z0 is None:  # pragma: no cover
-            raise InternalCheckError("no exact-order element in L(R - nP)")
+        while room < n:
+            pl = next(stream)
+            room += pl.degree
+            if not pl.is_infinite:
+                h = h * pl.poly
+        if P.is_infinite:
+            z0 = RationalFunction(Polynomial.monomial(K, h.degree - n), h)
+        else:
+            z0 = RationalFunction(P.poly**n, h)
         b = laurent_expand(z0, P, 1).coeffs[0]
         z = z + z0 * (coeff.pth_root() / b)
         # v_P(x + z^2) >= 0 (z vanishes at P): exact through j_odd

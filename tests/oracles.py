@@ -8,10 +8,21 @@ produced by these functions.
 """
 
 import functools
+import itertools
 
-from ramforge.funcfield import RationalFunction
+from ramforge.errors import PreconditionError
+from ramforge.funcfield import (
+    Divisor,
+    Place,
+    RationalFunction,
+    laurent_expand,
+    rr_basis,
+    valuation,
+)
 from ramforge.galois import GF, embed
-from ramforge.polyring import Polynomial
+from ramforge.linalg import RelationTracker
+from ramforge.polyring import Polynomial, gcd, irreducibles
+from ramforge.pseudotame import v_dx
 
 # ---------------------------------------------------------------------------
 # GF(2)[w] encoded as python ints: bit k is the coefficient of w^k
@@ -552,3 +563,119 @@ def a_invariant(x, y):
     """a(x, y) = ((x1^2 x3^2 + x2^4) y) / (x3^4 y^2 + x1^4)."""
     _, x1, x2, x3 = quartic_coords(x, y)
     return ((x1 * x3) ** 2 + x2**4) * y / (x3**4 * y**2 + x1**4)
+
+
+# ---------------------------------------------------------------------------
+# squarefree parts by the unit-step loop: one gcd and two divisions per
+# multiplicity, up to the largest, whether or not a part has it
+
+
+def squarefree_reference(f):
+    """[(part, multiplicity)] of a nonzero f, as squarefree_decompose gives
+    them: monic, merged by multiplicity, sorted by (degree, encoding)."""
+    K = f.field
+    found = {}
+
+    def pth_root(a):
+        return Polynomial(K, [c.pth_root() for c in a.coeffs[:: K.p]])
+
+    def rec(a, scale):
+        if a.degree <= 0:
+            return
+        d = a.derivative()
+        if d.is_zero():
+            rec(pth_root(a), scale * K.p)
+            return
+        c = gcd(a, d)
+        w, i = a // c, 1
+        while w.degree > 0:
+            y = gcd(w, c)
+            z = w // y
+            if z.degree > 0:
+                found[i * scale] = found.get(i * scale, 1) * z
+            w, c, i = y, c // y, i + 1
+        rec(pth_root(c), scale * K.p)
+
+    rec(f.monic(), 1)
+    return sorted(
+        ((part, mult) for mult, part in found.items()),
+        key=lambda t: (t[0].degree, t[0].encoding()),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the place below P through the inverse of h mod P: the first relation
+# among the powers of w = g/h mod P
+
+
+def inverse_mod(a, f):
+    """a^-1 mod f by the extended Euclidean algorithm; gcd(a, f) = 1."""
+    r0, r1 = f, a % f
+    s0, s1 = Polynomial(f.field), Polynomial.constant(f.field, 1)
+    while not r1.is_zero():  # s_i * a = r_i mod f
+        q, r = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    if r0.degree != 0:
+        raise PreconditionError("not invertible")
+    return s0 * r0.leading_coefficient.inverse() % f
+
+
+def pushforward_reference(cover, P):
+    """pushforward_place(cover, P), from the minimal polynomial of
+    w = g * (h^-1 mod P)."""
+    K = cover.field
+    if P.is_infinite:
+        return Place.infinite(K)
+    p = P.poly
+    h = cover.den % p
+    if h.is_zero():
+        return Place.infinite(K)
+    w = cover.num * inverse_mod(h, p) % p
+    tracker = RelationTracker(K, p.degree)
+    power = Polynomial.constant(K, 1)
+    while True:
+        combo = tracker.add([power.coefficient(i).val for i in range(p.degree)])
+        if combo is not None:
+            return Place(K, Polynomial(K, combo))
+        power = power * w % p
+
+
+# ---------------------------------------------------------------------------
+# square completion with its exact-order element found by a search of the
+# Riemann-Roch basis of L(R - nP)
+
+
+def _reservoir_places(K, forbidden):
+    """Degree-1 finite places by encoding, infinity, then higher degrees."""
+    linear = (Place.from_root(K.element(v)) for v in range(K.q))
+    higher = (
+        Place(K, f) for d in itertools.count(2) for f in irreducibles(K, d)
+    )
+    for P in itertools.chain(linear, [Place.infinite(K)], higher):
+        if P not in forbidden:
+            yield P
+
+
+def square_completion_reference(x, P, Q):
+    """square_completion(x, P, Q) for inputs it accepts, with the default
+    pole budget: each z0 is the first element of rr_basis(R - nP) with
+    valuation exactly n at P."""
+    K = x.field
+    j_odd = v_dx(x, P) + 1
+    stream = _reservoir_places(K, {P, Q})
+    reservoir = []
+    z = RationalFunction.constant(K, 0)
+    for _ in range(j_odd + 2):
+        terms = laurent_expand(x + z * z, P, j_odd + 1).terms()
+        j, coeff = next((k, c) for k, c in terms if k != 0)
+        if j % 2 == 1:
+            return z if not z.is_zero() else RationalFunction.constant(K, 1)
+        n = j // 2
+        while sum(pl.degree for pl in reservoir) < n:
+            reservoir.append(next(stream))
+        R = Divisor(K, [(pl, 1) for pl in reservoir])
+        basis = rr_basis(R - Divisor(K, [(P, n)]))
+        z0 = next(b for b in basis if valuation(b, P) == n)
+        b = laurent_expand(z0, P, 1).coeffs[0]
+        z = z + z0 * (coeff.pth_root() / b)
+    raise AssertionError("no odd exponent reached")

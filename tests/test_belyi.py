@@ -261,20 +261,17 @@ def test_lemma_map_preconditions():
 
 
 def test_degree_cap_env(monkeypatch):
-    monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "2")
+    monkeypatch.setattr(belyi, "MAX_COVER_DEGREE", 2)
     with pytest.raises(SizeBoundError):
         lemma_main_map(F2, {Place(F2, irreducible_poly(F2, 2))})
     with pytest.raises(SizeBoundError):
         wild_belyi(F2, places(F2, "x^2+x+1"))
     # the head map x+1 -> 1 - x has degree 1, the composite 1 * 3^2
-    monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "8")
+    monkeypatch.setattr(belyi, "MAX_COVER_DEGREE", 8)
     lemma_main_map(F2, places(F2, "x+1"))
     with pytest.raises(SizeBoundError):
         wild_belyi(F2, places(F2, "x+1"))
     with pytest.raises(SizeBoundError):
         wild_belyi(F2, set())
-    monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "9")
+    monkeypatch.setattr(belyi, "MAX_COVER_DEGREE", 9)
     assert wild_belyi(F2, places(F2, "x+1")).composite.degree == 9
-    monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "abc")
-    with pytest.raises(PreconditionError):
-        lemma_main_map(F2, places(F2, "x+1"))

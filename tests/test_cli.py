@@ -78,13 +78,16 @@ def test_precondition_exit_3(capsys):
     assert rc == 3
 
 
-def test_size_bound_exit_4(capsys, monkeypatch):
-    monkeypatch.setenv("RAMFORGE_MAX_DEGREE", "2")
-    rc, _, err = run(
-        capsys, ["belyi-wild", "--p", "2", "--places", "x^2+x+1"]
-    )
-    assert rc == 4
-    assert "ramforge: error:" in err
+def test_size_bound_exit_4(capsys):
+    """Both maps pass the cap, 65536, and are refused before they are built."""
+    for argv, degree in [
+        (["belyi-wild", "--p", "2", "--m", "13", "--places", "x+1"], 73719),
+        (["belyi-tame", "--p", "3", "--places", "x^11+x^2+2"], 177146),
+    ]:
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (4, "")
+        assert err.startswith("ramforge: error:")
+        assert f"= {degree} exceeds the cap 65536" in err
 
 
 def _nesting_argv(verb, depth):
@@ -230,6 +233,30 @@ def test_wild_composite_degree_capped_within_memory_cap():
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert "= 17040384 exceeds the cap 65536" in proc.stderr
+
+
+def test_pseudotame_of_a_high_power_finishes():
+    """x = w^65535 + w^2 has W = w^65534, whose squarefree split took 88 s
+    when it stepped through every multiplicity up to 32767."""
+    import ramforge
+
+    src = str(pathlib.Path(ramforge.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramforge.cli", "pseudotame", "--p", "2",
+         "w^65535+w^2"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "element: w^65535+w^2 over GF(2)\n"
+        "critical places: (w=0), (w=inf)\n"
+        "(w=0) | v_dx=65534 tame=no pseudotame=no\n"
+        "(w=inf) | v_dx=-65536 tame=yes pseudotame=yes\n"
+        "pseudotame everywhere: no\n"
+    )
 
 
 def test_field_untabulated(capsys):

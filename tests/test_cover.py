@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ramforge import GF
 from ramforge.cover import (
     RationalCover,
@@ -31,7 +32,13 @@ from ramforge.funcfield import (
     differential_divisor,
     parse_place,
 )
-from ramforge.polyring import Polynomial, irreducibles, parse_polynomial
+from ramforge.linalg import RelationTracker
+from ramforge.polyring import (
+    Polynomial,
+    irreducibles,
+    is_irreducible,
+    parse_polynomial,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -350,6 +357,61 @@ def test_pushforward_consistent_with_fiber():
         P = Place.from_root(F3.element(v))
         Q = pushforward_place(c, P)
         assert any(pl == P for pl, _, _ in fiber(c, Q))
+
+
+PUSHFORWARD_FIELDS = [GF(2), GF(2, 2), GF(2, 3), F3, GF(3, 2), F5, GF(7)]
+
+
+def _random_monic(rng, K, d):
+    return Polynomial(K, [rng.randrange(K.q) for _ in range(d)] + [1])
+
+
+def _pushforward_pairs(K, rng, covers):
+    """(cover, place) pairs: six places of degree 1 to 4 per cover, the
+    first of them dividing the denominator in every third cover."""
+    for k in range(covers):
+        places = []
+        while len(places) < 6:
+            f = _random_monic(rng, K, len(places) % 4 + 1)
+            if is_irreducible(f):
+                places.append(Place(K, f))
+        while True:
+            h = _random_monic(rng, K, rng.randint(0, 3))
+            if k % 3 == 0:
+                h = h * places[0].poly
+            g = Polynomial(
+                K,
+                [rng.randrange(K.q) for _ in range(h.degree + rng.randint(1, 3))]
+                + [rng.randrange(1, K.q)],
+            )
+            try:
+                cover = cover_create(K, g, h)
+            except PreconditionError:
+                continue
+            break
+        for P in places:
+            yield cover, P
+
+
+@pytest.mark.parametrize("field", PUSHFORWARD_FIELDS, ids=str)
+def test_pushforward_matches_the_inverse_route(field, count_calls):
+    """The powers g^i h^(d-i) mod P give the place below P that the powers
+    of w = g/h mod P give, with as many tracker vectors: 432 pairs per
+    field, 3,024 in all."""
+    rng = random.Random(f"pushforward:{field.p}^{field.m}")
+    adds = count_calls("add", RelationTracker)
+    pairs = divides = 0
+    for cover, P in _pushforward_pairs(field, rng, 72):
+        del adds[:]
+        got = pushforward_place(cover, P)
+        n_got = len(adds)
+        del adds[:]
+        assert got == oracles.pushforward_reference(cover, P), (cover, P)
+        assert n_got == len(adds)
+        pairs += 1
+        divides += (cover.den % P.poly).is_zero()
+    assert pairs == 432
+    assert divides >= 24
 
 
 def test_conorm_frozen():

@@ -21,7 +21,6 @@ from ramforge.polyring import (
     factor,
     format_polynomial,
     gcd,
-    invert_mod,
     irreducible_poly,
     irreducibles,
     is_irreducible,
@@ -298,6 +297,43 @@ def test_squarefree_structure(f):
             assert gcd(g, h).is_constant()
 
 
+def _squarefree_inputs(field, rng):
+    """Pure powers, p-th powers, and products of up to four powers with
+    multiplicities up to 49, all of degree at most 100."""
+
+    def monic(d):
+        return Polynomial(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+
+    for _ in range(50):
+        yield monic(rng.randint(1, 2)) ** rng.randint(2, 49)
+        g = monic(rng.randint(1, 3))
+        yield g ** (field.p * rng.randint(1, 100 // (field.p * g.degree)))
+        f = Polynomial.constant(field, rng.randrange(1, field.q))
+        for _ in range(rng.randint(2, 4)):
+            g, e = monic(rng.randint(1, 2)), rng.randint(1, 49)
+            if f.degree + g.degree * e <= 100:
+                f = f * g**e
+        yield f
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=str)
+def test_squarefree_matches_the_unit_step_loop(field):
+    rng = random.Random(f"squarefree:{field.p}^{field.m}")
+    for f in _squarefree_inputs(field, rng):
+        assert squarefree_decompose(f) == oracles.squarefree_reference(f), f
+
+
+def test_squarefree_skips_absent_multiplicities(count_calls):
+    """w^8190 = (w^4095)^2: the unit-step loop makes 16,380 divisions and
+    4,096 gcds for the 4,094 multiplicities that no part has."""
+    divisions = count_calls("_divmod", polyring)
+    gcds = count_calls("_gcd", polyring)
+    w = Polynomial.x(F2)
+    assert squarefree_decompose(w**8190) == [(w, 8190)]
+    assert len(divisions) <= 40
+    assert len(gcds) <= 5
+
+
 @given(f=nonzero_polys(F5, 5), g=nonzero_polys(F5, 5))
 def test_gcd_divides(f, g):
     d = gcd(f, g)
@@ -332,14 +368,6 @@ def test_roots_frozen():
     f = poly(F5, "T^2+1")
     assert [r.val for r in roots(f)] == [2, 3]
     assert roots(poly(F2, "T^2+T+1")) == []
-
-
-@given(f=nonzero_polys(F3, 4))
-def test_invert_mod(f):
-    m = poly(F3, "T^3+2*T+1")  # irreducible over F3
-    if gcd(f, m).is_constant() and not (f % m).is_zero():
-        inv = invert_mod(f, m)
-        assert (f * inv) % m == Polynomial(F3, [1])
 
 
 SHIFT_FIELDS = [F2, F4, GF(2, 3), F3, F5, F9]

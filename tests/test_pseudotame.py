@@ -1,6 +1,8 @@
 """Characteristic-2 pseudo-tameness toolkit at genus zero."""
 
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -570,6 +572,58 @@ def test_square_completion_contract(seed):
     assert valuation(z, Q) >= 0
     for _, c in pole_divisor_of(z).items():
         assert c == 1
+
+
+def _char2_pool_triples(seed):
+    """The (x, P, Q) that the char2 benchmark pool of this seed passes to
+    square_completion: P and Q are the first two places, among the degree-1
+    critical places of x and then the degree-1 places and infinity, that
+    are not poles of x."""
+    sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for job in (job for jobs in workloads.char2(seed) for job in jobs):
+        text, m = job.key.split("|")[1], job.key.rsplit("=", 1)[1]
+        K = GF(2, int(m))
+        x = parse_rational(text, K, "w")
+        poles = set(pole_divisor_of(x).support())
+        lines = [Place.from_root(K.element(v)) for v in range(K.q)]
+        lines.append(Place.infinite(K))
+        free = []
+        for c in [c for c in critical_places(x) if c.degree == 1] + lines:
+            if c not in poles and c not in free:
+                free.append(c)
+        if len(free) >= 2:
+            yield x, free[0], free[1]
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_square_completion_matches_the_riemann_roch_search(seed, count_calls):
+    """The closed-form element of exact order n, against the first element
+    of rr_basis(R - nP) with valuation n, over a char2 benchmark pool; at
+    an infinite P that element is the last of the basis."""
+    searches = count_calls("rr_basis", oracles)
+    triples = infinite = 0
+    for x, P, Q in _char2_pool_triples(seed):
+        before = len(searches)
+        assert square_completion(x, P, Q) == oracles.square_completion_reference(
+            x, P, Q
+        ), (x, P, Q)
+        triples += 1
+        infinite += P.is_infinite and len(searches) > before
+    assert triples > 1000
+    assert infinite > 0
+
+
+def test_square_completion_at_infinity_past_the_reservoir_degree():
+    """x = u^4 + u^5 at u = 1/w: n = 2, and the reservoir, (w) and then
+    (w^2+w+1), has degree 3, so the element is w^(3-2)/h, not 1/h."""
+    x = rf("(w+1)/w^5")
+    z = square_completion(x, PINF, P1)
+    assert z.to_text("w") == "1/(w^2+w+1)"
+    assert z == oracles.square_completion_reference(x, PINF, P1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every exported name, public method, private function and private
-method does work for the library, its scripts or its benchmark."""
+"""Every exported name, public method, unexported public function, private
+function and private method does work for the library, its scripts or its
+benchmark."""
 
 import ast
 import pathlib
@@ -90,6 +91,17 @@ def _public_methods():
                     yield node.name, item.name
 
 
+def _unexported_functions():
+    """(module, name) for each public module-level function of the library
+    that ramforge.__all__ does not list."""
+    exported = set(ramforge.__all__)
+    for f in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(f.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                if node.name not in exported:
+                    yield f.stem, node.name
+
+
 def _private_functions():
     """(module or class, name) for each private module-level function and
     each private method of the library; dunder methods are not private."""
@@ -122,6 +134,15 @@ def test_every_public_method_has_a_caller_outside_tests():
     """
     used = _used_names()
     unused = [f"{c}.{m}" for c, m in _public_methods() if m not in used]
+    assert unused == []
+
+
+def test_every_unexported_function_has_a_caller_outside_tests():
+    """A public function that ramforge.__all__ does not list, and that no
+    library, script or benchmark file reads, by name as for the methods
+    above, is left over or kept for its tests."""
+    used = _used_names()
+    unused = [f"{m}.{n}" for m, n in _unexported_functions() if n not in used]
     assert unused == []
 
 
