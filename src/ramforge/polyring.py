@@ -14,6 +14,8 @@ absolute trace of a candidate modulo the part takes values in GF(p) at the
 roots, and any non-constant trace splits the part (see _edf).  The
 distinct-degree split yields every block, empty or not: `is_irreducible` is
 Ben-Or's test on the first nonempty one, and `roots` splits the d = 1 block.
+In odd characteristic it holds one Frobenius map of its modulus F, the rows
+x**(p*i) mod F of Berlekamp's Q-matrix, built as its steps reach them.
 
 The raw kernels _add, _sub, _mul and _divmod choose their loop once per
 call, from the field.  In characteristic 2 addition is XOR in every field.
@@ -234,9 +236,46 @@ def _frob_mod(K, h, f):
     return _mod(K, spread, f)
 
 
-def _frob_q_mod(K, h, f):
+def _frob_row(K, rows, F):
+    """Row i = len(rows) of the Frobenius map of F, x**(p*i) mod F.
+
+    For p < deg F it is row i - 1 shifted by p places, with its p top
+    coefficients reduced.  For larger p row 1 is x**p mod F, one _power,
+    and row i is row 1 times row i - 1 mod F.
+    """
+    if K.p < len(F) - 1:
+        return _mod(K, [0] * K.p + rows[-1], F)
+    if len(rows) == 1:
+        return _power(K, [0, 1], K.p, F)
+    return _mod(K, _mul(K, rows[1], rows[-1]), F)
+
+
+def _frob_q_mod(K, h, f, rows, F):
+    """h**q mod f, for h reduced mod F and f | F; the result is reduced mod F.
+
+    Since (sum h_i x**i)**p = sum h_i**p x**(p*i), a p-step is
+    h -> sum(phi(h_i) * rows[i]), phi the coefficient Frobenius and rows[i]
+    = x**(p*i) mod F: n**2 products at most for n = deg F, where spreading
+    h over x**p and reducing takes (p - 1)*n**2.  Each step first extends
+    rows to deg h, so a caller that stops early builds only what it reads.
+    In characteristic 2, p - 1 = 1: the rows would only add their cost, so
+    h is spread and reduced mod f (_frob_mod).
+    """
+    mul, add = K.mul_raw, K.add_raw
     for _ in range(K.m):
-        h = _frob_mod(K, h, f)
+        if K.p == 2:
+            h = _frob_mod(K, h, f)
+            continue
+        while len(rows) < len(h):
+            rows.append(_frob_row(K, rows, F))
+        out = [0] * (len(F) - 1)
+        for c, row in zip(h, rows):
+            if c:
+                c = K.frobenius_raw(c)
+                for j, r in enumerate(row):
+                    if r:
+                        out[j] = add(out[j], mul(c, r))
+        h = _trim(out)
     return h
 
 
@@ -498,37 +537,27 @@ def squarefree_decompose(f):
         raise PreconditionError("cannot decompose the zero polynomial")
     K = f.field
     found = {}
-
-    def emit(part, mult):
-        if len(part) - 1 > 0:
-            cur = found.get(mult)
-            found[mult] = _mul(K, cur, part) if cur else part
-
-    def rec(a, scale):
-        if len(a) - 1 <= 0:
-            return
-        d = _derivative(K, a)
-        if not d:
-            rec(_pth_root_poly(K, a), scale * K.p)
-            return
-        c = _gcd(K, a, d)
-        w = _divmod(K, a, c)[0]
-        i = 1
-        while len(w) - 1 > 0:
-            y = _gcd(K, w, c)
-            if len(y) == len(w):  # no part has multiplicity i: go to the next
-                c, k = _divide_out(K, c, w)
-                i += k
-                continue
-            z = _divmod(K, w, y)[0]
-            emit(z, i * scale)
-            i += 1
-            w = y
-            c = _divmod(K, c, y)[0]
-        if len(c) - 1 > 0:
-            rec(_pth_root_poly(K, c), scale * K.p)
-
-    rec(_monic(K, f._c)[0], 1)
+    a, scale = _monic(K, f._c)[0], 1
+    while len(a) - 1 > 0:  # Yun's loop on a, then a = the p-th root of the rest
+        c, d = a, _derivative(K, a)
+        if d:
+            c = _gcd(K, a, d)
+            w = _divmod(K, a, c)[0]
+            i = 1
+            while len(w) - 1 > 0:
+                y = _gcd(K, w, c)
+                if len(y) == len(w):  # no part has multiplicity i: go to the next
+                    c, k = _divide_out(K, c, w)
+                    i += k
+                    continue
+                z = _divmod(K, w, y)[0]
+                if len(z) - 1 > 0:
+                    cur = found.get(i * scale)
+                    found[i * scale] = _mul(K, cur, z) if cur else z
+                i += 1
+                w = y
+                c = _divmod(K, c, y)[0]
+        a, scale = _pth_root_poly(K, c), scale * K.p
     out = [(Polynomial._raw(K, part), mult) for mult, part in found.items()]
     out.sort(key=lambda t: (t[0].degree, t[0].encoding()))
     return out
@@ -542,18 +571,22 @@ def _ddf(K, f):
     In the first nonempty block d is the least degree of an irreducible
     factor, so d = deg f exactly when f is irreducible (Ben-Or's test).  The
     blocks multiply to f only when f is squarefree, which `factor` passes.
+
+    For odd p every step reads one Frobenius map of the input modulus F, its
+    rows x**(p*i) mod F, built on demand (_frob_q_mod).  When a block g is
+    divided out of f, h stays reduced mod F and the map is kept: f divides
+    F, so gcd(h - x, f) is the same as for h mod f.
     """
-    x = [0, 1]
-    h = _mod(K, x, f)
+    h = x = [0, 1]
+    F, rows = f, [[1]]
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _frob_q_mod(K, h, f)
+        h = _frob_q_mod(K, h, f, rows, F)
         g = _gcd(K, _sub(K, h, x), f)
         yield g, d
         if len(g) - 1 > 0:
             f = _divmod(K, f, g)[0]
-            h = _mod(K, h, f)
     if len(f) - 1 > 0:
         yield f, len(f) - 1
 

@@ -435,6 +435,28 @@ def ext_poly_gcd(a, b, p, modulus):
     return tuple(ext_mul(c, inv, p, modulus) for c in a)
 
 
+def frobenius_power_mod(a, f, p, m):
+    """a**(p**m) mod f by square and multiply, on coefficient tuples: pf_mul
+    and pf_mod over GF(p), ext_poly_mul and ext_poly_divmod over GF(p**m)
+    with its canonical modulus."""
+    if m == 1:
+        def mulmod(x, y):
+            return pf_mod(pf_mul(x, y, p), f, p)
+    else:
+        modulus = pf_canonical_modulus(p, m)
+
+        def mulmod(x, y):
+            return ext_poly_divmod(ext_poly_mul(x, y, p, modulus), f, p, modulus)[1]
+
+    e, r, base = p**m, (1,), mulmod(tuple(a), (1,))
+    while e:
+        if e & 1:
+            r = mulmod(r, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return r
+
+
 # ---------------------------------------------------------------------------
 # values and products of ramforge objects, by their public operators
 

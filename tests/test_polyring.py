@@ -1,5 +1,6 @@
 """Polynomial arithmetic, factorization, parsing."""
 
+import gc
 import itertools
 import random
 
@@ -199,7 +200,7 @@ def test_is_irreducible_stops_at_the_least_factor_degree(count_calls):
     g3, g37 = irreducible_poly(F3, 3), irreducible_poly(F3, 37)
     steps = count_calls("_frob_q_mod", polyring)
     assert not is_irreducible(g3 * g37)
-    assert len(steps) <= 3
+    assert len(steps) == 3
 
 
 def test_is_irreducible_of_an_irreducible_takes_half_its_degree(count_calls):
@@ -228,6 +229,99 @@ def test_roots_of_a_rootless_polynomial_take_one_step(count_calls):
     steps.clear()
     assert roots(g5 * g31) == []
     assert len(steps) == 1
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius map of the distinct-degree split: rows x**(p*i) mod F
+
+BIG_P = 2**31 - 1
+MAP_FIELDS = [GF(2), F4, GF(2, 3), F3, F9, F5, GF(7), GF(BIG_P)]
+
+
+def _random_raw(rng, field, deg, monic=True):
+    top = 1 if monic else rng.randrange(1, field.q)
+    return [rng.randrange(field.q) for _ in range(deg)] + [top]
+
+
+@pytest.mark.parametrize("field", MAP_FIELDS, ids=str)
+def test_frobenius_map_matches_the_spread_step_and_repeated_products(field):
+    """h**q by one map of F, against _frob_mod iterated m times and against
+    square and multiply in tests/oracles.py, before (f = F) and after
+    (f = F / g) a block g is divided out.  Each F keeps one map across its
+    inputs, x first, so rows are added as the degree of h grows; deg F runs
+    below, at and above p, so rows come from both the shift and the product."""
+    K = field
+    rng = random.Random(100 * K.p + K.m)
+    for n in sorted({d for d in (4, K.p, 11, 24) if d <= 24}):
+        g = _random_raw(rng, K, rng.randint(1, 3))
+        f = _random_raw(rng, K, n - len(g) + 1)
+        F = polyring._mul(K, g, f)
+        rows = [[1]]
+        for h in ([0, 1], _random_raw(rng, K, 3, False), _random_raw(rng, K, n - 1, False)):
+            for mod in (F, f):
+                got = polyring._frob_q_mod(K, h, mod, rows, F)
+                assert len(got) < len(F)
+                spread = h
+                for _ in range(K.m):
+                    spread = polyring._frob_mod(K, spread, mod)
+                assert polyring._mod(K, got, mod) == spread, (n, h, mod)
+                assert tuple(spread) == oracles.frobenius_power_mod(h, mod, K.p, K.m)
+
+
+def test_roots_build_only_the_rows_of_the_first_step(count_calls):
+    """x's first step reads rows 0 and 1; row 0 is 1 and needs no build."""
+    g40 = irreducible_poly(F3, 40)
+    builds = count_calls("_frob_row", polyring)
+    assert roots(g40) == []
+    assert len(builds) == 1
+
+
+def test_is_irreducible_builds_each_row_once(count_calls):
+    """g40 = T^40 + T + 2, and x**(3**d) mod g40 has degree 3, 9 or 27 at
+    each of the 20 steps: they read rows 0 to 27 of one map, and rows 1 to
+    27 are built once each."""
+    g40 = irreducible_poly(F3, 40)
+    builds = count_calls("_frob_row", polyring)
+    steps = count_calls("_frob_q_mod", polyring)
+    assert is_irreducible(g40)
+    assert len(steps) == 20
+    assert len(builds) == 27
+    assert all(b[1] is steps[0][3] for b in builds) and len(steps[0][3]) == 28
+
+
+def test_factor_over_a_large_prime_powers_once_per_split(count_calls):
+    """A degree-40 polynomial over GF(2**31 - 1) with no root: its one split
+    runs 14 steps, the first 3 on F itself.  x**p mod F is its one _power
+    of exponent p, and no step powers by squaring."""
+    K = GF(BIG_P)
+    rng = random.Random(43)
+    f = Polynomial(K, _random_raw(rng, K, 40))
+    splits = count_calls("_ddf", polyring)
+    steps = count_calls("_frob_q_mod", polyring)
+    powers = count_calls("_power", polyring)
+    assert [g.degree for g, _ in factor(f).factors] == [3, 7, 14, 16]
+    assert (len(splits), len(steps)) == (1, 14)
+    assert [c[1:] for c in powers if c[2] == K.p] == [([0, 1], K.p, splits[0][1])]
+
+
+@pytest.mark.parametrize("field,text", [
+    (F3, "T^3*(T^2+1)^3*(T+1)^4*(T^3+2*T+1)"),
+    (F4, "T^4*(T^2+z)^3*(T+1)^2*(T^3+T+1)"),
+], ids=["GF(3)", "GF(4)"])
+def test_squarefree_decompose_and_factor_leave_no_reference_cycles(field, text):
+    """With the collector off, 100 calls of each leave nothing for it."""
+    f = poly(field, text)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            squarefree_decompose(f)
+        assert gc.collect() == 0
+        for _ in range(100):
+            factor(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 DIFFERENTIAL_FIELDS = [GF(2), F4, GF(2, 3), F3, F9, F5, GF(7)]

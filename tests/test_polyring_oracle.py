@@ -68,6 +68,15 @@ def test_factor_matches_sympy_random(p, max_deg, count):
         check_against_sympy(rand_poly(rng, field, rng.randint(1, max_deg)))
 
 
+def test_degree_40_over_a_large_prime_matches_sympy():
+    """p far above the degree: the distinct-degree split builds its rows by
+    products with x**p mod F instead of shifts."""
+    field = GF(BIG_P)
+    rng = random.Random(BIG_P)
+    for _ in range(3):
+        check_against_sympy(rand_poly(rng, field, 40))
+
+
 @pytest.mark.parametrize("p", [BIG_P, 2**61 - 1])
 def test_large_prime_sextic_matches_sympy(p):
     check_against_sympy(Polynomial(GF(p), [1, 1, 0, 0, 0, 0, 1]))
