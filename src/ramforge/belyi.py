@@ -48,6 +48,15 @@ def _check_degree(n, what):
         raise SizeBoundError(f"{what} = {n} exceeds the cap {MAX_COVER_DEGREE}")
 
 
+def _head_degree(field, S, what):
+    """q^r - 1, r the lcm of the degrees over S.  Since q^r >= 2^r, an r past
+    the bit length of the cap raises SizeBoundError before any power."""
+    r = math.lcm(*(P.degree for P in S))
+    if r > MAX_COVER_DEGREE.bit_length():
+        raise SizeBoundError(f"{what} with r = {r} exceeds the cap {MAX_COVER_DEGREE}")
+    return field.q**r - 1
+
+
 def _require(cond, name, detail):
     if not cond:
         raise InternalCheckError(f"certificate {name} failed: {detail}")
@@ -77,8 +86,7 @@ def lemma_main_map(field, S, var_up="x", var_down="t"):
             )
         if P.field != field:
             raise PreconditionError("place over the wrong field")
-    r = math.lcm(*(P.degree for P in S))
-    n = field.q**r - 1
+    n = _head_degree(field, S, "map degree q^r - 1")
     _check_degree(n, "map degree q^r - 1")
     g = Polynomial.constant(field, 1) - Polynomial.monomial(field, n)
     cov = cover_create(field, g, var_up=var_up, var_down=var_down)
@@ -242,10 +250,11 @@ def wild_belyi(field, S, var_up="x"):
     two = field.element(1) + field.element(1)
     pairs = []
     specials = [Place(field, Polynomial.x(field)), Place.infinite(field)]
-    head_degree = field.q ** math.lcm(*(P.degree for P in S)) - 1 if S else 1
+    what = "composite degree (q^r - 1)*(p + 1)^2"
+    head_degree = _head_degree(field, S, what) if S else 1
     expected_degree = head_degree * (field.p + 1) ** 2
     # the composite is built and factored, so it is capped like the head map
-    _check_degree(expected_degree, "composite degree (q^r - 1)*(p + 1)^2")
+    _check_degree(expected_degree, what)
     if S:
         pairs.append(lemma_main_map(field, S, var_up=var_up, var_down="t"))
         specials = list(S) + specials

@@ -456,28 +456,14 @@ def parse_rational(text, field, var="x"):
 # valuations and divisors of functions
 
 
-def _poly_valuation(f, p):
-    """Multiplicity of the monic irreducible p in the polynomial f."""
-    if f.is_zero():
-        return math.inf
-    v = 0
-    while True:
-        q, r = divmod(f, p)
-        if not r.is_zero():
-            return v
-        v += 1
-        f = q
-
-
 def valuation(f, place):
     if f.is_zero():
         return math.inf
     if place.is_infinite:
         return f.den.degree - f.num.degree
-    vn = _poly_valuation(f.num, place.poly)
-    if vn:
-        return vn
-    return -_poly_valuation(f.den, place.poly)
+    K, w = f.field, place.poly._c
+    vn = polyring._divide_out(K, f.num._c, w)[1]
+    return vn or -polyring._divide_out(K, f.den._c, w)[1]
 
 
 def divisor_of(f):

@@ -417,12 +417,12 @@ def field_create(p, m=1):
     """The cached field GF(p**m) with the canonical modulus."""
     if m < 1:
         raise PreconditionError("extension degree must be >= 1")
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    # p**m >= 2**((bit_length - 1) * m): reject huge orders before computing one
+    # p**m >= 2**((bit_length - 1) * m): refuse a huge order before testing p
     too_big = (p.bit_length() - 1) * m >= MAX_FIELD_SIZE.bit_length()
     if too_big or p**m > MAX_FIELD_SIZE:
         raise SizeBoundError(f"field order {p}**{m} exceeds the size bound")
+    if not _is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
     key = (p, m)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = Field(p, m)

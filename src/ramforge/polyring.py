@@ -14,8 +14,9 @@ absolute trace of a candidate modulo the part takes values in GF(p) at the
 roots, and any non-constant trace splits the part (see _edf).  The
 distinct-degree split yields every block, empty or not: `is_irreducible` is
 Ben-Or's test on the first nonempty one, and `roots` splits the d = 1 block.
-In odd characteristic it holds one Frobenius map of its modulus F, the rows
-x**(p*i) mod F of Berlekamp's Q-matrix, built as its steps reach them.
+Every Frobenius step is one _frob_step.  In odd characteristic it reads the
+rows x**(p*i) mod F of Berlekamp's Q-matrix, built as the steps reach them,
+for F the input of the distinct-degree split or a part of the equal-degree one.
 
 The raw kernels _add, _sub, _mul and _divmod choose their loop once per
 call, from the field.  In characteristic 2 addition is XOR in every field.
@@ -221,21 +222,6 @@ def _shift(K, a, alpha):
     return c
 
 
-def _frob_mod(K, h, f):
-    """h**p mod f, via the additivity of x -> x**p.
-
-    Spreading h over x**p costs (deg h)*p slots, so for p >= len(f) the
-    power is taken by squaring instead.
-    """
-    if K.p >= len(f):
-        return _power(K, h, K.p, f)
-    spread = [0] * ((len(h) - 1) * K.p + 1)
-    for i, c in enumerate(h):
-        if c:
-            spread[i * K.p] = K.frobenius_raw(c)
-    return _mod(K, spread, f)
-
-
 def _frob_row(K, rows, F):
     """Row i = len(rows) of the Frobenius map of F, x**(p*i) mod F.
 
@@ -250,33 +236,32 @@ def _frob_row(K, rows, F):
     return _mod(K, _mul(K, rows[1], rows[-1]), F)
 
 
-def _frob_q_mod(K, h, f, rows, F):
-    """h**q mod f, for h reduced mod F and f | F; the result is reduced mod F.
+def _frob_step(K, h, f, rows, F):
+    """h**p mod f, for h reduced mod F and f | F; the result is reduced mod F.
 
-    Since (sum h_i x**i)**p = sum h_i**p x**(p*i), a p-step is
+    Since (sum h_i x**i)**p = sum h_i**p x**(p*i), the step is the map
     h -> sum(phi(h_i) * rows[i]), phi the coefficient Frobenius and rows[i]
     = x**(p*i) mod F: n**2 products at most for n = deg F, where spreading
-    h over x**p and reducing takes (p - 1)*n**2.  Each step first extends
+    h over x**p and reducing takes (p - 1)*n**2.  The step first extends
     rows to deg h, so a caller that stops early builds only what it reads.
     In characteristic 2, p - 1 = 1: the rows would only add their cost, so
-    h is spread and reduced mod f (_frob_mod).
+    h is spread over x**2 and reduced mod f.
     """
+    if K.p == 2:
+        spread = [0] * (2 * len(h) - 1)
+        spread[::2] = map(K.frobenius_raw, h)
+        return _mod(K, spread, f)
+    while len(rows) < len(h):
+        rows.append(_frob_row(K, rows, F))
     mul, add = K.mul_raw, K.add_raw
-    for _ in range(K.m):
-        if K.p == 2:
-            h = _frob_mod(K, h, f)
-            continue
-        while len(rows) < len(h):
-            rows.append(_frob_row(K, rows, F))
-        out = [0] * (len(F) - 1)
-        for c, row in zip(h, rows):
-            if c:
-                c = K.frobenius_raw(c)
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] = add(out[j], mul(c, r))
-        h = _trim(out)
-    return h
+    out = [0] * (len(F) - 1)
+    for c, row in zip(h, rows):
+        if c:
+            c = K.frobenius_raw(c)
+            for j, r in enumerate(row):
+                if r:
+                    out[j] = add(out[j], mul(c, r))
+    return _trim(out)
 
 
 def _power(K, a, e, f=None):
@@ -572,8 +557,8 @@ def _ddf(K, f):
     factor, so d = deg f exactly when f is irreducible (Ben-Or's test).  The
     blocks multiply to f only when f is squarefree, which `factor` passes.
 
-    For odd p every step reads one Frobenius map of the input modulus F, its
-    rows x**(p*i) mod F, built on demand (_frob_q_mod).  When a block g is
+    A step is m Frobenius steps (_frob_step), which for odd p read one map
+    of the input modulus F, its rows x**(p*i) mod F.  When a block g is
     divided out of f, h stays reduced mod F and the map is kept: f divides
     F, so gcd(h - x, f) is the same as for h mod f.
     """
@@ -582,7 +567,8 @@ def _ddf(K, f):
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _frob_q_mod(K, h, f, rows, F)
+        for _ in range(K.m):
+            h = _frob_step(K, h, f, rows, F)
         g = _gcd(K, _sub(K, h, x), f)
         yield g, d
         if len(g) - 1 > 0:
@@ -594,25 +580,26 @@ def _ddf(K, f):
 _SHIFTS_BEFORE_CHECK = 64  # failed shifts a before T**p == T is verified
 
 
-def _try_split(K, part, cand, d):
+def _try_split(K, part, cand, d, rows):
     """One split attempt by the trace of cand; a proper monic factor or None.
 
     T = sum(cand**(p**i) for i < m*d) mod part takes, at every root of part,
     the absolute trace of cand there, a value in GF(p).  A constant T fails
     at once.  Otherwise gcd(part, T) splits for p = 2; for odd p, some
     gcd(part, T + a) with a in GF(p) splits at the latest when -a is one of
-    the trace values, and (T + a)**((p-1)/2) - 1 is tried alongside.
+    the trace values, and (T + a)**((p-1)/2) - 1 is tried alongside.  Every
+    Frobenius step reads rows, the map of part that its attempts share.
     """
     t = _mod(K, cand, part)
     trace = t
     for _ in range(K.m * d - 1):
-        t = _frob_mod(K, t, part)
+        t = _frob_step(K, t, part, rows, part)
         trace = _add(K, trace, t)
     if len(trace) <= 1:
         return None
     n = len(part) - 1
     for a in range(K.p):
-        if a == _SHIFTS_BEFORE_CHECK and _frob_mod(K, trace, part) != trace:
+        if a == _SHIFTS_BEFORE_CHECK and _frob_step(K, trace, part, rows, part) != trace:
             # T is not GF(p)-valued, so part is not a product of degree-d
             # irreducibles and no shift splits it; for large p, say so now
             raise InternalCheckError(
@@ -672,8 +659,9 @@ def _edf(K, f, d):
                 )
             out.append(part)
             continue
+        rows = [[1]]  # the Frobenius map of part, read by all its attempts
         for j, i in _candidates(K, n, j0, i0):
-            g = _try_split(K, part, [0] * j + [K.p**i], d)
+            g = _try_split(K, part, [0] * j + [K.p**i], d, rows)
             if g is not None:
                 stack.append((g, j, i))
                 stack.append((_divmod(K, part, g)[0], j, i))
@@ -836,8 +824,12 @@ def _tokenize(s):
 
 
 def _check_parsed_degree(degree, pos):
-    """Reject a product or power of degree above the cap before building it."""
+    """Reject a product or power of degree above the cap before building it.
+    A power's exponent is unbounded, so a degree past 2**64 is named by its
+    bit length: its digits could pass the interpreter's int_max_str_digits."""
     if degree > MAX_COVER_DEGREE:
+        if degree.bit_length() > 64:
+            degree = f"above 2^{degree.bit_length() - 1}"
         raise SizeBoundError(
             f"degree {degree} at position {pos} exceeds the cap {MAX_COVER_DEGREE}"
         )

@@ -457,6 +457,15 @@ def frobenius_power_mod(a, f, p, m):
     return r
 
 
+def ext_has_no_root(f, p, m):
+    """Whether f over GF(p**m) has no root: gcd(x**q - x, f) = 1, x**q mod f
+    by frobenius_power_mod.  For deg f in {2, 3} that is irreducibility."""
+    modulus = pf_canonical_modulus(p, m)
+    h = list(frobenius_power_mod((0, 1), f, p, m)) + [0, 0]
+    h[1] = ext_add(h[1], ext_neg(1, p), p)
+    return ext_poly_gcd(h, f, p, modulus) == (1,)
+
+
 # ---------------------------------------------------------------------------
 # values and products of ramforge objects, by their public operators
 

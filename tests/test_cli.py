@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -88,6 +89,37 @@ def test_size_bound_exit_4(capsys):
         assert (rc, out) == (4, "")
         assert err.startswith("ramforge: error:")
         assert f"= {degree} exceeds the cap 65536" in err
+
+
+# degrees 23 to 41 over GF(3): r = 20677 for the first three, 31367009 for all
+_FAR_PLACES = [
+    "x^23+x^3+x+1", "x^29+x^4+2", "x^31+x^3+x+1", "x^37+2*x^6+1", "x^41+2*x+1"
+]
+OVER_CAP = [
+    ["belyi-tame", "--p", "3", "--places", ",".join(_FAR_PLACES[:3])],
+    ["belyi-wild", "--p", "3", "--places", ",".join(_FAR_PLACES)],
+    ["factor", "--p", "2", "(T^2)^" + "9" * 4300],
+    ["factor", "--p", "2", "T^" + "9" * 4301],
+    ["factor", "--p", str(2**4423 - 1), "T"],  # a prime, past the field size bound
+    ["belyi-wild", "--p", "2", "--m", "13", "--places", "x+1"],
+    ["belyi-tame", "--p", "3", "--places", "x^11+x^2+2"],
+    ["belyi-wild", "--p", "257", "--places", "x+1"],
+    ["factor", "--p", "2", "T^3000000+T+1"],
+    ["laurent", "--p", "2", "1/(x+1)", "--at", "x", "--prec", "10000000"],
+    ["factor", "--p", "2", "(" * 101 + "T" + ")" * 101],
+]
+
+
+def test_over_cap_inputs_exit_4_at_once(capsys):
+    """Every size check comes before the work it bounds and formats no
+    number too long to print: exit 4, no traceback, under 1 s per call."""
+    for argv in OVER_CAP:
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        took = time.perf_counter() - start
+        assert (rc, out) == (4, ""), (argv[:3], err)
+        assert err.startswith("ramforge: error:") and "Traceback" not in err
+        assert took < 1.0, (argv[:3], took)
 
 
 def _nesting_argv(verb, depth):

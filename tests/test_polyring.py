@@ -198,21 +198,21 @@ def test_irreducible_poly_is_encoding_minimal(p, m_deg):
 
 def test_is_irreducible_stops_at_the_least_factor_degree(count_calls):
     g3, g37 = irreducible_poly(F3, 3), irreducible_poly(F3, 37)
-    steps = count_calls("_frob_q_mod", polyring)
+    steps = count_calls("_frob_step", polyring)
     assert not is_irreducible(g3 * g37)
     assert len(steps) == 3
 
 
 def test_is_irreducible_of_an_irreducible_takes_half_its_degree(count_calls):
     g40 = irreducible_poly(F3, 40)
-    steps = count_calls("_frob_q_mod", polyring)
+    steps = count_calls("_frob_step", polyring)
     assert is_irreducible(g40)
     assert len(steps) == 20
 
 
 def test_roots_read_only_the_degree_one_block(count_calls):
     f = poly(F3, "T+1") * irreducible_poly(F3, 3) * irreducible_poly(F3, 37)
-    steps = count_calls("_frob_q_mod", polyring)
+    steps = count_calls("_frob_step", polyring)
     factors = count_calls("factor", polyring)
     parts = count_calls("squarefree_decompose", polyring)
     assert roots(f) == [F3.element(2)]
@@ -223,7 +223,7 @@ def test_roots_read_only_the_degree_one_block(count_calls):
 def test_roots_of_a_rootless_polynomial_take_one_step(count_calls):
     """The empty degree-1 block decides: no walk to the least factor degree."""
     g5, g31, g40 = (irreducible_poly(F3, d) for d in (5, 31, 40))
-    steps = count_calls("_frob_q_mod", polyring)
+    steps = count_calls("_frob_step", polyring)
     assert roots(g40) == []
     assert len(steps) == 1
     steps.clear()
@@ -245,11 +245,12 @@ def _random_raw(rng, field, deg, monic=True):
 
 @pytest.mark.parametrize("field", MAP_FIELDS, ids=str)
 def test_frobenius_map_matches_the_spread_step_and_repeated_products(field):
-    """h**q by one map of F, against _frob_mod iterated m times and against
-    square and multiply in tests/oracles.py, before (f = F) and after
-    (f = F / g) a block g is divided out.  Each F keeps one map across its
-    inputs, x first, so rows are added as the degree of h grows; deg F runs
-    below, at and above p, so rows come from both the shift and the product."""
+    """h**q by m steps of one map of F (for p = 2 the spread step itself),
+    against square and multiply in tests/oracles.py, before (f = F) and
+    after (f = F / g) a block g is divided out.  Each F keeps one map across
+    its inputs, x first, so rows are added as the degree of h grows; deg F
+    runs below, at and above p, so rows come from both the shift and the
+    product."""
     K = field
     rng = random.Random(100 * K.p + K.m)
     for n in sorted({d for d in (4, K.p, 11, 24) if d <= 24}):
@@ -259,13 +260,12 @@ def test_frobenius_map_matches_the_spread_step_and_repeated_products(field):
         rows = [[1]]
         for h in ([0, 1], _random_raw(rng, K, 3, False), _random_raw(rng, K, n - 1, False)):
             for mod in (F, f):
-                got = polyring._frob_q_mod(K, h, mod, rows, F)
-                assert len(got) < len(F)
-                spread = h
+                got = h
                 for _ in range(K.m):
-                    spread = polyring._frob_mod(K, spread, mod)
-                assert polyring._mod(K, got, mod) == spread, (n, h, mod)
-                assert tuple(spread) == oracles.frobenius_power_mod(h, mod, K.p, K.m)
+                    got = polyring._frob_step(K, got, mod, rows, F)
+                    assert len(got) < len(F)
+                want = oracles.frobenius_power_mod(h, mod, K.p, K.m)
+                assert tuple(polyring._mod(K, got, mod)) == want, (n, h, mod)
 
 
 def test_roots_build_only_the_rows_of_the_first_step(count_calls):
@@ -282,7 +282,7 @@ def test_is_irreducible_builds_each_row_once(count_calls):
     27 are built once each."""
     g40 = irreducible_poly(F3, 40)
     builds = count_calls("_frob_row", polyring)
-    steps = count_calls("_frob_q_mod", polyring)
+    steps = count_calls("_frob_step", polyring)
     assert is_irreducible(g40)
     assert len(steps) == 20
     assert len(builds) == 27
@@ -297,11 +297,51 @@ def test_factor_over_a_large_prime_powers_once_per_split(count_calls):
     rng = random.Random(43)
     f = Polynomial(K, _random_raw(rng, K, 40))
     splits = count_calls("_ddf", polyring)
-    steps = count_calls("_frob_q_mod", polyring)
+    steps = count_calls("_frob_step", polyring)
     powers = count_calls("_power", polyring)
     assert [g.degree for g, _ in factor(f).factors] == [3, 7, 14, 16]
     assert (len(splits), len(steps)) == (1, 14)
     assert [c[1:] for c in powers if c[2] == K.p] == [([0, 1], K.p, splits[0][1])]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("field", [F9, GF(5, 2), GF(3, 3), GF(BIG_P)], ids=str)
+def test_equal_degree_split_returns_the_known_irreducibles(field, d):
+    """A product of k distinct irreducibles of degree d, each picked by the
+    root test of tests/oracles.py, is one distinct-degree block, and the
+    trace loop of the equal-degree split steps through the map of each
+    part: the factors are exactly those irreducibles."""
+    K = field
+    rng = random.Random(10 * K.q + d)
+    for k in (2, 3, 5):
+        picked = set()
+        while len(picked) < k:
+            f = tuple(_random_raw(rng, K, d))
+            if oracles.ext_has_no_root(f, K.p, K.m):
+                picked.add(f)
+        product = Polynomial(K, [1])
+        for f in picked:
+            product = product * Polynomial(K, f)
+        got = sorted((g._c, e) for g, e in factor(product).factors)
+        assert got == [(f, 1) for f in sorted(picked)]
+
+
+def test_equal_degree_split_over_a_large_prime_powers_once_per_part(count_calls):
+    """Over GF(2**31 - 1), four irreducibles T^2 + c make one block of the
+    distinct-degree split.  Its map and the map of each part the trace
+    loop steps through make one _power of exponent p each, x**p mod F."""
+    K = GF(BIG_P)
+    cs = [c for c in range(1, 20) if oracles.ext_has_no_root((c, 0, 1), K.p, 1)][:4]
+    f = Polynomial(K, [1])
+    for c in cs:
+        f = f * Polynomial(K, [c, 0, 1])
+    powers = count_calls("_power", polyring)
+    splits = count_calls("_try_split", polyring)
+    assert [g._c for g, _ in factor(f).factors] == [(c, 0, 1) for c in cs]
+    moduli = [c[3] for c in powers if c[2] == K.p]
+    parts = {id(c[1]): c[1] for c in splits}
+    assert len(parts) == 3 and len(moduli) == 4
+    assert all(any(m is part for m in moduli) for part in parts.values())
 
 
 @pytest.mark.parametrize("field,text", [

@@ -485,7 +485,7 @@ def test_local_layer_work_counts(count_calls, capsys):
     assert factors == []
     walls = count_calls("_wronskian", pseudotame, funcfield)
     expansions = count_calls("laurent_expand", pseudotame, funcfield)
-    valuations = count_calls("_poly_valuation", funcfield)
+    valuations = count_calls("valuation", funcfield, pseudotame)
     lifts = count_calls("roots", polyring)
     argv = ["pseudotame", "--p", "2", x.to_text("w")]
     assert main(argv) == 0
