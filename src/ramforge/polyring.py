@@ -24,16 +24,21 @@ GF(2) and the tabulated GF(2**m) also multiply and divide in the log
 domain (_mul2, _divmod2): the logs of one factor's or of the divisor's
 coefficients are read once per call and the log of each quotient
 coefficient once per row, so the inner loops make no Field method call.
-So does the Taylor shift _shift.  Other fields run the generic loops over
-Field.add_raw and Field.mul_raw.  Every power, plain or mod f, is one
-_power: bit_length(e) - 1 squarings through _mul and popcount(e) - 1
-products by the base, none past the result.  Every caller inherits the
-choice: gcds, Frobenius and modular powers, the equal-degree split, the
-Polynomial operators and the Laurent expansions of funcfield, each one
-Taylor shift and one long division.
+So does the Taylor shift _shift.  Over GF(p), p odd, _divmod and the
+packed Frobenius rows (_frob_step) are int arithmetic reduced mod p only
+where a value is read; odd GF(p**m), whose products are in z, and the
+untabulated GF(2**m) run the generic loops over Field.add_raw and
+Field.mul_raw.  Every power, plain or mod f, is one _power: the
+bit_length(e) - 1 squarings through _mul and popcount(e) - 1 products by
+the base, none past the result.  Every caller inherits the choice: gcds,
+Frobenius and modular powers, the equal-degree split, the Polynomial
+operators and the Laurent expansions of funcfield, each one Taylor shift
+and one long division.
 """
 
-from operator import xor
+from array import array
+from operator import mul, xor
+from sys import byteorder
 
 from .config import MAX_COVER_DEGREE
 from .errors import InternalCheckError, ParseError, PreconditionError, SizeBoundError
@@ -145,25 +150,33 @@ def _mul(K, a, b):
 
 
 def _divmod(K, a, b):
+    """Long division.  Over GF(p), p odd, a row is one slice of int multiply-adds
+    by the negated divisor, with % p only on row tops and the remainder."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     tables = _log_tables(K)
     if tables is not None:
         return _divmod2(tables, a, b)
-    a = list(a)
-    db, dl = len(b) - 1, b[-1]
-    inv = K.inv_raw(dl)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = K.mul_raw(a[-1], inv)
-        q[k] = c
-        nc = K.neg_raw(c)
-        for i, y in enumerate(b):
-            if y:
-                a[k + i] = K.add_raw(a[k + i], K.mul_raw(nc, y))
-        _trim(a)
-    return _trim(q), a
+    a, db = list(a), len(b) - 1
+    if len(a) <= db:
+        return [], a
+    inv = K.inv_raw(b[-1])
+    q = [0] * (len(a) - db)
+    if K.m == 1:  # Python ints cannot overflow: deferring % p is exact
+        p, nb = K.p, [-y for y in b[:-1]]
+        for k in range(len(q) - 1, -1, -1):
+            c = q[k] = a[k + db] * inv % p
+            if c and nb:
+                a[k : k + db] = [x + c * y for x, y in zip(a[k : k + db], nb)]
+        return _trim(q), _trim([x % p for x in a[:db]])
+    for k in range(len(q) - 1, -1, -1):
+        if a[k + db]:
+            c = q[k] = K.mul_raw(a[k + db], inv)
+            nc = K.neg_raw(c)
+            for i, y in enumerate(b):
+                if y:
+                    a[k + i] = K.add_raw(a[k + i], K.mul_raw(nc, y))
+    return _trim(q), _trim(a[:db])
 
 
 def _mod(K, a, b):
@@ -222,18 +235,43 @@ def _shift(K, a, alpha):
     return c
 
 
-def _frob_row(K, rows, F):
+_SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> array typecode
+
+
+def _slot_width(K, F):
+    """Bytes per slot of F's packed map over GF(p), p odd: the least of 1, 2, 4,
+    8 holding deg F * (p - 1)**2, a step's top sum; 0 past 8 bytes (p ~ 2**31)."""
+    if K.p == 2 or K.m > 1:
+        return 0
+    nbytes = -(-((len(F) - 1) * (K.p - 1) ** 2).bit_length() // 8)
+    w = 1 << (nbytes - 1).bit_length()  # nbytes rounded up to 1, 2, 4, 8, ...
+    return w if w <= 8 else 0
+
+
+def _unpack(v, n, w):
+    return memoryview(v.to_bytes(n * w, byteorder)).cast(_SLOTS[w])
+
+
+def _frob_map(K, F):
+    """F's Frobenius map with row 0 = 1 built; see _frob_step."""
+    return [1] if _slot_width(K, F) else [[1]]
+
+
+def _frob_row(K, rows, F, w):
     """Row i = len(rows) of the Frobenius map of F, x**(p*i) mod F.
 
     For p < deg F it is row i - 1 shifted by p places, with its p top
     coefficients reduced.  For larger p row 1 is x**p mod F, one _power,
-    and row i is row 1 times row i - 1 mod F.
+    and row i is row 1 times row i - 1 mod F.  Packed rows are read back.
     """
+    read = (lambda r: _trim(list(_unpack(r, len(F) - 1, w)))) if w else (lambda r: r)
     if K.p < len(F) - 1:
-        return _mod(K, [0] * K.p + rows[-1], F)
-    if len(rows) == 1:
-        return _power(K, [0, 1], K.p, F)
-    return _mod(K, _mul(K, rows[1], rows[-1]), F)
+        row = _mod(K, [0] * K.p + read(rows[-1]), F)
+    elif len(rows) == 1:
+        row = _power(K, [0, 1], K.p, F)
+    else:
+        row = _mod(K, _mul(K, read(rows[1]), read(rows[-1])), F)
+    return int.from_bytes(array(_SLOTS[w], row), byteorder) if w else row
 
 
 def _frob_step(K, h, f, rows, F):
@@ -244,6 +282,9 @@ def _frob_step(K, h, f, rows, F):
     = x**(p*i) mod F: n**2 products at most for n = deg F, where spreading
     h over x**p and reducing takes (p - 1)*n**2.  The step first extends
     rows to deg h, so a caller that stops early builds only what it reads.
+    Over GF(p), p odd, phi is the identity and each row one int of packed
+    slots (_slot_width), so a step is deg F bigint multiply-adds and one
+    unpacking mod p; GF(p**m), whose products are in z, keeps list rows.
     In characteristic 2, p - 1 = 1: the rows would only add their cost, so
     h is spread over x**2 and reduced mod f.
     """
@@ -251,16 +292,19 @@ def _frob_step(K, h, f, rows, F):
         spread = [0] * (2 * len(h) - 1)
         spread[::2] = map(K.frobenius_raw, h)
         return _mod(K, spread, f)
+    w, p = _slot_width(K, F), K.p
     while len(rows) < len(h):
-        rows.append(_frob_row(K, rows, F))
-    mul, add = K.mul_raw, K.add_raw
+        rows.append(_frob_row(K, rows, F, w))
+    if w:
+        return _trim([v % p for v in _unpack(sum(map(mul, h, rows)), len(F) - 1, w)])
+    mul_raw, add = K.mul_raw, K.add_raw
     out = [0] * (len(F) - 1)
     for c, row in zip(h, rows):
         if c:
             c = K.frobenius_raw(c)
             for j, r in enumerate(row):
                 if r:
-                    out[j] = add(out[j], mul(c, r))
+                    out[j] = add(out[j], mul_raw(c, r))
     return _trim(out)
 
 
@@ -563,7 +607,7 @@ def _ddf(K, f):
     F, so gcd(h - x, f) is the same as for h mod f.
     """
     h = x = [0, 1]
-    F, rows = f, [[1]]
+    F, rows = f, _frob_map(K, f)
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
@@ -659,7 +703,7 @@ def _edf(K, f, d):
                 )
             out.append(part)
             continue
-        rows = [[1]]  # the Frobenius map of part, read by all its attempts
+        rows = _frob_map(K, part)  # read by all the attempts on part
         for j, i in _candidates(K, n, j0, i0):
             g = _try_split(K, part, [0] * j + [K.p**i], d, rows)
             if g is not None:

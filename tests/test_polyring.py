@@ -1,6 +1,7 @@
 """Polynomial arithmetic, factorization, parsing."""
 
 import gc
+import hashlib
 import itertools
 import random
 
@@ -257,7 +258,7 @@ def test_frobenius_map_matches_the_spread_step_and_repeated_products(field):
         g = _random_raw(rng, K, rng.randint(1, 3))
         f = _random_raw(rng, K, n - len(g) + 1)
         F = polyring._mul(K, g, f)
-        rows = [[1]]
+        rows = polyring._frob_map(K, F)
         for h in ([0, 1], _random_raw(rng, K, 3, False), _random_raw(rng, K, n - 1, False)):
             for mod in (F, f):
                 got = h
@@ -394,6 +395,43 @@ def test_roots_and_is_irreducible_match_factor(field):
         assert roots(f) == sorted(linear, key=lambda r: r.val), f
         one = len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree == f.degree
         assert is_irreducible(f) == one, f
+
+
+# (p, m, count, top degree): 300 inputs; the tops below 100 keep the test near 2 s
+DIGEST_CORPUS = [
+    (2, 1, 60, 100), (3, 1, 60, 100), (2, 2, 40, 60), (5, 1, 50, 80),
+    (7, 1, 40, 60), (3, 2, 30, 40), (BIG_P, 1, 20, 20),
+]
+# SHA-256 of the factor lists below, computed before the GF(p) kernels
+# (packed Frobenius rows, inline division) were added
+FACTOR_DIGEST = "f81490a75dfd458050ce29b42aa8468c4611ee3776e92e205425134d6958b277"
+
+
+def _digest_inputs():
+    """Seeded random polynomials; every third one is a * b**e, e in 2..4,
+    so repeated and p-th-power factors take the squarefree path."""
+    rng = random.Random(20181101)
+    for p, m, count, top in DIGEST_CORPUS:
+        K = GF(p, m)
+        for k in range(count):
+            if k % 3:
+                yield Polynomial(K, _random_raw(rng, K, rng.randint(1, top), False))
+                continue
+            e = rng.randint(2, 4)
+            b = Polynomial(K, _random_raw(rng, K, rng.randint(1, top // (2 * e)), False))
+            a = Polynomial(K, _random_raw(rng, K, rng.randint(0, top // 2), False))
+            yield a * b**e
+
+
+def test_factor_lists_match_the_frozen_digest():
+    """One SHA-256 over the (degree, encoding, multiplicity) lists of 300
+    factorizations: any kernel change that moves one factor shows here."""
+    h = hashlib.sha256()
+    count = 0
+    for f in _digest_inputs():
+        h.update(repr([(g.degree, g.encoding(), e) for g, e in factor(f).factors]).encode())
+        count += 1
+    assert (count, h.hexdigest()) == (300, FACTOR_DIGEST)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,40 @@
-"""Differential tests of the raw polynomial kernels in characteristic 2.
+"""Differential tests of the raw polynomial kernels.
 
-GF(2) and the tabulated GF(2**m) run on the XOR/log-domain kernels, GF(2**17)
-on the field-call fallback.  Each is checked against the reference code in
-`tests/oracles.py`: shift-xor arithmetic on ints for GF(2), and long-hand
-polynomial arithmetic with field products reduced digit-wise
+Characteristic 2: GF(2) and the tabulated GF(2**m) run on the XOR/log-domain
+kernels, GF(2**17) on the field-call fallback.  Each is checked against the
+reference code in `tests/oracles.py`: shift-xor arithmetic on ints for GF(2),
+and long-hand polynomial arithmetic with field products reduced digit-wise
 (`pf_mul`/`pf_mod`) by the independently found canonical modulus for
 GF(2**m).
+
+Odd prime fields: GF(p) divides with integer multiply-adds and takes its
+Frobenius steps on packed rows, slots of 1, 2, 4 or 8 bytes chosen from
+deg F * (p - 1)**2, with list rows past 8 bytes.  Division and gcd are
+checked against `pf_mod` and sympy, Frobenius steps against
+`frobenius_power_mod` on both sides of every slot-width boundary, and the
+packed step on the largest sums its slots must hold.
 """
 
 import random
+import sys
+from array import array
 
 import pytest
 
 import oracles
 from ramforge import GF
-from ramforge.polyring import _add, _divmod, _gcd, _mul, _shift, _sub
+from ramforge.polyring import (
+    _SLOTS,
+    _add,
+    _divmod,
+    _frob_map,
+    _frob_step,
+    _gcd,
+    _mul,
+    _shift,
+    _slot_width,
+    _sub,
+)
 
 MAX_DEG = 64
 
@@ -134,3 +154,83 @@ def test_char2_kernels_make_no_field_calls(monkeypatch, m):
     for name in ("add_raw", "sub_raw", "neg_raw", "mul_raw", "inv_raw", "pow_raw"):
         monkeypatch.setattr(type(K), name, forbidden)
     assert [f(K, a, b) for f in kernels] == want
+
+
+# ---------------------------------------------------------------------------
+# odd prime fields: division with no field call, Frobenius steps on packed rows
+
+BIG_P = 2**31 - 1
+ODD_PRIMES = [3, 5, 7, 251, 65521, BIG_P]
+
+# (p, deg F) -> bytes per slot: each pair straddles the step where
+# deg F * (p - 1)**2 outgrows a width; 0 is the list-row fallback
+SLOT_WIDTHS = {
+    (3, 63): 1, (3, 64): 2, (5, 15): 1, (5, 16): 2, (7, 7): 1, (7, 8): 2,
+    (251, 1): 2, (251, 2): 4, (65521, 1): 4, (65521, 2): 8,
+    (BIG_P, 4): 8, (BIG_P, 5): 0,
+}
+
+
+def test_slot_widths_at_each_boundary():
+    for (p, n), w in SLOT_WIDTHS.items():
+        F = [1] * n + [1]
+        assert _slot_width(GF(p), F) == w, (p, n)
+        assert w == 0 or n * (p - 1) ** 2 < 256**w
+    for K in (GF(2), GF(2, 2), GF(3, 2), GF(5, 2)):
+        assert _slot_width(K, [1] * 9) == 0
+
+
+def _sympy_poly(c, p):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(list(reversed(c)) or [0], sympy.Symbol("T"), modulus=p)
+
+
+def _from_sympy(g, p):
+    return oracles.pf_trim(int(v) % p for v in reversed(g.all_coeffs()))
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_gfp_division_and_gcd_match_pf_mod_and_sympy(p):
+    K = GF(p)
+    rng = random.Random(p)
+    for shared, a, b in input_pairs(rng, p, 16):
+        if shared is not None:
+            a, b = oracles.pf_mul(shared, a, p), oracles.pf_mul(shared, b, p)
+        A, B = _sympy_poly(a, p), _sympy_poly(b, p)
+        q, r = _divmod(K, a, b)
+        assert tuple(r) == oracles.pf_mod(a, b, p)
+        assert (tuple(q), tuple(r)) == tuple(_from_sympy(g, p) for g in A.div(B))
+        c = _sympy_poly(b[-1:], p)  # a constant divisor: the quotient row alone
+        assert tuple(_divmod(K, a, b[-1:])[0]) == _from_sympy(A.div(c)[0], p)
+        assert tuple(_gcd(K, a, b)) == _from_sympy(A.gcd(B).monic(), p)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_gfp_frobenius_steps_match_square_and_multiply(p):
+    """Three steps through one map per F, from x and from a random h, at
+    every degree of SLOT_WIDTHS for p: packed rows, or list rows past 8
+    bytes, against square and multiply in tests/oracles.py."""
+    K = GF(p)
+    rng = random.Random(10 * p + 1)
+    for n in sorted(n for q, n in SLOT_WIDTHS if q == p):
+        F = [rng.randrange(p) for _ in range(n)] + [1]
+        rows = _frob_map(K, F)
+        for h in ((0, 1), rand_poly(rng, p, n - 1)):
+            got = want = oracles.pf_mod(h, F, p)
+            for _ in range(3):
+                got = _frob_step(K, list(got), F, rows, F)
+                want = oracles.frobenius_power_mod(want, tuple(F), p, 1)
+                assert tuple(got) == want, (p, n, h)
+        assert all(isinstance(r, int) for r in rows) == (SLOT_WIDTHS[p, n] > 0)
+
+
+@pytest.mark.parametrize("p,n", sorted((p, n) for (p, n), w in SLOT_WIDTHS.items() if w))
+def test_packed_step_holds_the_largest_sums(p, n):
+    """Every row and coefficient at p - 1: each slot sums n * (p - 1)**2,
+    the most a step adds, and that is n mod p."""
+    K = GF(p)
+    F = [1] * n + [1]
+    w = _slot_width(K, F)
+    full = int.from_bytes(array(_SLOTS[w], [p - 1] * n), sys.byteorder)
+    got = _frob_step(K, [p - 1] * n, F, [full] * n, F)
+    assert tuple(got) == oracles.pf_trim([n % p] * n)
