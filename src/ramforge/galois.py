@@ -83,6 +83,7 @@ class Field:
         self._mod_bits = None  # for p = 2: the modulus as a bit vector
         self._exp = None
         self._log = None
+        self._digits = None  # polyring._digit_tables, built on first use
         if m > 1:
             from .polyring import irreducible_poly
 

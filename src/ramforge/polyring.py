@@ -19,16 +19,16 @@ rows x**(p*i) mod F of Berlekamp's Q-matrix, built as the steps reach them,
 for F the input of the distinct-degree split or a part of the equal-degree one.
 
 The raw kernels _add, _sub, _mul and _divmod choose their loop once per
-call, from the field.  In characteristic 2 addition is XOR in every field.
-GF(2) and the tabulated GF(2**m) also multiply and divide in the log
-domain (_mul2, _divmod2): the logs of one factor's or of the divisor's
-coefficients are read once per call and the log of each quotient
-coefficient once per row, so the inner loops make no Field method call.
-So does the Taylor shift _shift.  Over GF(p), p odd, _divmod and the
-packed Frobenius rows (_frob_step) are int arithmetic reduced mod p only
-where a value is read; odd GF(p**m), whose products are in z, and the
-untabulated GF(2**m) run the generic loops over Field.add_raw and
-Field.mul_raw.  Every power, plain or mod f, is one _power: the
+call, from the field.  In characteristic 2 addition is XOR, and GF(2) and
+the tabulated GF(2**m) multiply and divide in the log domain (_mul2,
+_divmod2), as does the Taylor shift _shift.  Over GF(p), p odd, the
+kernels, _gcd's one Euclid loop and the packed Frobenius rows are int
+arithmetic reduced mod p only where a value is read.  An odd tabulated
+GF(p**m) multiplies and divides on GF(p)-digit vectors (_digit_tables): a
+product term is one table read at log x + log y, terms add as ints, and
+each coefficient is read back once.  Field.add_raw and Field.mul_raw are
+left to the untabulated GF(p**m), to _shift in odd characteristic and to
+_add over odd GF(p**m).  Every power, plain or mod f, is one _power: the
 bit_length(e) - 1 squarings through _mul and popcount(e) - 1 products by
 the base, none past the result.  Every caller inherits the choice: gcds,
 Frobenius and modular powers, the equal-degree split, the Polynomial
@@ -37,7 +37,7 @@ and one long division.
 """
 
 from array import array
-from operator import mul, xor
+from operator import add, mul, xor
 from sys import byteorder
 
 from .config import MAX_COVER_DEGREE
@@ -122,24 +122,72 @@ def _divmod2(tables, a, b):
     return _trim(q), _trim(a[:db])
 
 
+def _digit_tables(K):
+    """(L, D, back) of a tabulated GF(p**m), m >= 2; None for other fields.
+
+    D[l] holds the GF(p) digits of g**l in 32-bit slots, so elements add as
+    ints: each digit is below p < 2**8 (p**2 <= TABLE_LIMIT = 2**16), and a
+    sum of deg + 1 terms stays below 2**24 for deg <= MAX_COVER_DEGREE.  L is
+    the log with L[0] = 2(q-1), from where D is 0: D[L[x] + L[y]] holds the
+    digits of x*y.  back(s) is the encoding of a sum s, by m reductions mod p.
+    """
+    if K._digits is None and K._exp is not None:  # built on first use
+        p, n, shifts = K.p, K.q - 1, range(32 * (K.m - 1), -1, -32)
+
+        def back(s):
+            v = 0
+            for sh in shifts:
+                v = v * p + (s >> sh & 0xFFFFFFFF) % p
+            return v
+
+        S = [0]  # S[v]: the digits of the encoding v, digit j in slot j
+        for j in range(K.m):
+            S = [s + (c << 32 * j) for c in range(p) for s in S]
+        D = [S[v] for v in K._exp]
+        K._digits = [2 * n, *K._log[1:]], D * 2 + [0] * (2 * n + 1), back
+    return K._digits
+
+
 def _add(K, a, b):
-    """a + b; in characteristic 2 XOR, coefficient by coefficient."""
+    """a + b; in characteristic 2 XOR, over GF(p), p odd, int sums mod p."""
     if len(a) < len(b):
         a, b = b, a
+    if K.m == 1 and K.p > 2:
+        return _trim([*map(K.p.__rmod__, map(add, a, b)), *a[len(b):]])
     return _trim([*map(xor if K.p == 2 else K.add_raw, a, b), *a[len(b):]])
 
 
 def _sub(K, a, b):
-    return _add(K, a, b if K.p == 2 else [K.neg_raw(y) for y in b])
+    p = K.p
+    nb = b if p == 2 else [-y % p for y in b] if K.m == 1 else [*map(K.neg_raw, b)]
+    return _add(K, a, nb)
 
 
 def _mul(K, a, b):
+    """a*b; over GF(p), p odd, or an odd tabulated GF(p**m) (digit sums, see
+    _digit_tables) each coefficient is reduced once, after all its terms."""
     if not a or not b:
         return []
     tables = _log_tables(K)
     if tables is not None:
         return _mul2(tables, a, b)
     out = [0] * (len(a) + len(b) - 1)
+    if K.m == 1:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = K.p
+        return _trim([v % p for v in out])
+    if digits := _digit_tables(K):
+        L, D, back = digits
+        lb = [L[y] for y in b]
+        for i, x in enumerate(a):
+            if x:
+                lx = L[x]
+                for j, ly in enumerate(lb, i):
+                    out[j] += D[lx + ly]
+        return _trim([back(v) for v in out])
     mul, add = K.mul_raw, K.add_raw
     for i, x in enumerate(a):
         if x:
@@ -151,7 +199,8 @@ def _mul(K, a, b):
 
 def _divmod(K, a, b):
     """Long division.  Over GF(p), p odd, a row is one slice of int multiply-adds
-    by the negated divisor, with % p only on row tops and the remainder."""
+    by the negated divisor, and over an odd tabulated GF(p**m) a row of digit
+    sums (_digit_tables); only row tops and the remainder are reduced."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     tables = _log_tables(K)
@@ -160,15 +209,27 @@ def _divmod(K, a, b):
     a, db = list(a), len(b) - 1
     if len(a) <= db:
         return [], a
-    inv = K.inv_raw(b[-1])
     q = [0] * (len(a) - db)
     if K.m == 1:  # Python ints cannot overflow: deferring % p is exact
-        p, nb = K.p, [-y for y in b[:-1]]
+        p, nb, inv = K.p, [-y for y in b[:-1]], pow(b[-1], -1, K.p)
         for k in range(len(q) - 1, -1, -1):
             c = q[k] = a[k + db] * inv % p
             if c and nb:
                 a[k : k + db] = [x + c * y for x, y in zip(a[k : k + db], nb)]
         return _trim(q), _trim([x % p for x in a[:db]])
+    if digits := _digit_tables(K):
+        (L, D, back), n, exp = digits, K.q - 1, K._exp
+        a, lb, linv = [D[L[x]] for x in a], [L[y] for y in b[:-1]], n - L[b[-1]]
+        for k in range(len(q) - 1, -1, -1):
+            c = back(a[k + db])
+            if c:
+                lc = (L[c] + linv) % n
+                q[k] = exp[lc]
+                lc = (lc + n // 2) % n  # -1 = g**((q-1)/2): the row subtracts
+                for j, ly in enumerate(lb, k):
+                    a[j] += D[lc + ly]
+        return _trim(q), _trim([back(v) for v in a[:db]])
+    inv = K.inv_raw(b[-1])
     for k in range(len(q) - 1, -1, -1):
         if a[k + db]:
             c = q[k] = K.mul_raw(a[k + db], inv)
@@ -194,10 +255,29 @@ def _monic(K, a):
 
 
 def _gcd(K, a, b):
+    """The monic gcd.  Over GF(p), p odd, one Euclid loop on int lists: each
+    divisor is negated and made monic once, a row is int multiply-adds, and
+    % p is read only on row tops and on a remainder's top, until nonzero."""
     a, b = list(a), list(b)
+    if K.m > 1 or K.p == 2:
+        while b:
+            a, b = b, _mod(K, a, b)
+        return _monic(K, a)[0]
+    p = K.p
     while b:
-        a, b = b, _mod(K, a, b)
-    return _monic(K, a)[0]
+        inv = p - pow(b[-1], -1, p)
+        nb, db = [y * inv % p for y in b[:-1]], len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = a[k + db] % p
+            if c:
+                for j, y in enumerate(nb, k):
+                    a[j] += c * y
+        del a[db:]
+        while a and not a[-1] % p:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p) if a else 0
+    return [x * inv % p for x in a]
 
 
 def _derivative(K, a):
@@ -284,7 +364,7 @@ def _frob_step(K, h, f, rows, F):
     rows to deg h, so a caller that stops early builds only what it reads.
     Over GF(p), p odd, phi is the identity and each row one int of packed
     slots (_slot_width), so a step is deg F bigint multiply-adds and one
-    unpacking mod p; GF(p**m), whose products are in z, keeps list rows.
+    unpacking mod p; GF(p**m) keeps list rows, of digit sums when tabulated.
     In characteristic 2, p - 1 = 1: the rows would only add their cost, so
     h is spread over x**2 and reduced mod f.
     """
@@ -297,8 +377,16 @@ def _frob_step(K, h, f, rows, F):
         rows.append(_frob_row(K, rows, F, w))
     if w:
         return _trim([v % p for v in _unpack(sum(map(mul, h, rows)), len(F) - 1, w)])
-    mul_raw, add = K.mul_raw, K.add_raw
     out = [0] * (len(F) - 1)
+    if digits := _digit_tables(K):
+        L, D, back = digits
+        for c, row in zip(h, rows):
+            if c:
+                lc = L[c] * p % (K.q - 1)  # phi multiplies a log by p
+                for j, r in enumerate(row):
+                    out[j] += D[lc + L[r]]
+        return _trim([back(v) for v in out])
+    mul_raw, add = K.mul_raw, K.add_raw
     for c, row in zip(h, rows):
         if c:
             c = K.frobenius_raw(c)

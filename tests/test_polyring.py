@@ -407,11 +407,11 @@ DIGEST_CORPUS = [
 FACTOR_DIGEST = "f81490a75dfd458050ce29b42aa8468c4611ee3776e92e205425134d6958b277"
 
 
-def _digest_inputs():
+def _digest_inputs(corpus=DIGEST_CORPUS, seed=20181101):
     """Seeded random polynomials; every third one is a * b**e, e in 2..4,
     so repeated and p-th-power factors take the squarefree path."""
-    rng = random.Random(20181101)
-    for p, m, count, top in DIGEST_CORPUS:
+    rng = random.Random(seed)
+    for p, m, count, top in corpus:
         K = GF(p, m)
         for k in range(count):
             if k % 3:
@@ -432,6 +432,24 @@ def test_factor_lists_match_the_frozen_digest():
         h.update(repr([(g.degree, g.encoding(), e) for g, e in factor(f).factors]).encode())
         count += 1
     assert (count, h.hexdigest()) == (300, FACTOR_DIGEST)
+
+
+# 150 inputs over the odd extension fields past GF(9), about 0.9 s at the
+# parent of the digit-sum kernels (pure field-call loops)
+ODD_EXT_DIGEST_CORPUS = [(5, 2, 50, 40), (3, 3, 50, 40), (7, 2, 50, 30)]
+# SHA-256 of their factor lists, computed before the GF(p**m) digit-sum kernels
+ODD_EXT_FACTOR_DIGEST = "a85d349b840a2f6c863c0ae09df1f05898c075147e1eff0c1da96856beaa4efc"
+
+
+def test_odd_extension_factor_lists_match_the_frozen_digest():
+    """As above, over GF(25), GF(27) and GF(49), which the digit-sum kernels
+    (polyring._digit_tables) serve."""
+    h = hashlib.sha256()
+    count = 0
+    for f in _digest_inputs(ODD_EXT_DIGEST_CORPUS, 20181102):
+        h.update(repr([(g.degree, g.encoding(), e) for g, e in factor(f).factors]).encode())
+        count += 1
+    assert (count, h.hexdigest()) == (150, ODD_EXT_FACTOR_DIGEST)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,15 @@ Frobenius steps on packed rows, slots of 1, 2, 4 or 8 bytes chosen from
 deg F * (p - 1)**2, with list rows past 8 bytes.  Division and gcd are
 checked against `pf_mod` and sympy, Frobenius steps against
 `frobenius_power_mod` on both sides of every slot-width boundary, and the
-packed step on the largest sums its slots must hold.
+packed step on the largest sums its slots must hold.  The gcd is one Euclid
+loop, checked against a `pf_mod` Euclid and sympy's `gf_gcd` up to degree
+400.
+
+Odd tabulated GF(p**m): products, divisions and Frobenius steps add GF(p)-
+digit vectors in 32-bit slots (`_digit_tables`), checked against the
+`ext_poly_*` oracles and square and multiply over GF(9) to GF(3**10), and
+on terms whose every digit is p - 1, up to a slot's capacity.  GF(3**11),
+past the table limit, keeps the field-call loops.
 """
 
 import random
@@ -26,6 +34,7 @@ from ramforge import GF
 from ramforge.polyring import (
     _SLOTS,
     _add,
+    _digit_tables,
     _divmod,
     _frob_map,
     _frob_step,
@@ -234,3 +243,194 @@ def test_packed_step_holds_the_largest_sums(p, n):
     full = int.from_bytes(array(_SLOTS[w], [p - 1] * n), sys.byteorder)
     got = _frob_step(K, [p - 1] * n, F, [full] * n, F)
     assert tuple(got) == oracles.pf_trim([n % p] * n)
+
+
+# ---------------------------------------------------------------------------
+# odd prime fields: _gcd's one Euclid loop, with % p deferred to row tops
+
+EUCLID_PRIMES = ODD_PRIMES + [11, 13]
+
+
+def pf_gcd(a, b, p):
+    """The monic gcd by Euclid on `pf_mod`."""
+    a, b = oracles.pf_trim(a), oracles.pf_trim(b)
+    while b:
+        a, b = b, oracles.pf_mod(a, b, p)
+    inv = pow(a[-1], -1, p) if a else 0
+    return tuple(x * inv % p for x in a)
+
+
+def euclid_pairs(rng, p):
+    """Zero and constant operands, equal degrees, len(a) < len(b), shared
+    factors and non-monic leads, from degree 0 to 400."""
+
+    def r(d):  # a random lead: most divisors are not monic
+        return rand_poly(rng, p, d)
+
+    c = r(0)
+    pairs = [((), ()), ((), r(5)), (r(7), ()), (c, r(9)), (r(9), c), (c, r(0))]
+    pairs += [(r(d), r(d)) for d in (1, 2, 12, 40)]
+    pairs += [(r(3), r(30)), (r(0), r(400)), (r(399), r(400))]
+    for dg, du, dv in ((1, 0, 0), (3, 5, 5), (8, 20, 7), (60, 40, 90), (150, 250, 240)):
+        g = r(dg)
+        pairs.append((oracles.pf_mul(g, r(du), p), oracles.pf_mul(g, r(dv), p)))
+    g = r(5)  # one operand divides the other
+    pairs.append((oracles.pf_mul(g, r(20), p), g))
+    return pairs
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_gfp_euclid_matches_sympy_and_pf_mod(p):
+    """Against `pf_mod`'s Euclid and sympy's dense gf_gcd, both ways round."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    K = GF(p)
+    rng = random.Random(7 * p + 3)
+    for a, b in euclid_pairs(rng, p):
+        got = tuple(_gcd(K, a, b))
+        assert got == pf_gcd(a, b, p), (p, len(a), len(b))
+        want = galoistools.gf_gcd([ZZ(x) for x in a[::-1]], [ZZ(x) for x in b[::-1]], p, ZZ)
+        assert got == tuple(int(x) for x in want[::-1])
+        assert _gcd(K, b, a) == list(got)
+
+
+def test_gfp_euclid_reduces_the_remainder_it_returns():
+    """Every coefficient of the gcd lies in [0, p), the last one is 1, and
+    the inputs are left as they were."""
+    p = 3
+    K = GF(p)
+    rng = random.Random(31)
+    for _ in range(40):
+        g = rand_poly(rng, p, rng.randint(1, 6))
+        a = oracles.pf_mul(g, rand_poly(rng, p, rng.randint(0, 30)), p)
+        b = oracles.pf_mul(g, rand_poly(rng, p, rng.randint(0, 30)), p)
+        la, lb = list(a), list(b)
+        got = _gcd(K, la, lb)
+        assert (la, lb) == (list(a), list(b))
+        assert got[-1] == 1 and all(0 <= x < p for x in got)
+        assert len(got) - 1 >= len(g) - 1
+
+
+# ---------------------------------------------------------------------------
+# odd tabulated GF(p**m): products and division on GF(p)-digit sums
+
+DIGIT_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 10)]
+
+
+def ext_ops(p, m):
+    modulus = oracles.pf_canonical_modulus(p, m)
+    return (
+        lambda a, b: oracles.ext_poly_mul(a, b, p, modulus),
+        lambda a, b: oracles.ext_poly_divmod(a, b, p, modulus),
+        lambda a, b: oracles.ext_poly_gcd(a, b, p, modulus),
+    )
+
+
+@pytest.mark.parametrize("p,m", DIGIT_FIELDS)
+def test_digit_sum_kernels_match_the_extension_oracle(p, m):
+    K = GF(p, m)
+    assert _digit_tables(K) is not None
+    omul, odivmod, ogcd = ext_ops(p, m)
+    rng = random.Random(100 * p + m)
+    top = 24 if m < 10 else 10
+    for k in range(8):
+        a = rand_poly(rng, K.q, rng.randint(-1, top))
+        b = rand_poly(rng, K.q, rng.randint(0, top // 2 if k % 2 else top))
+        if k % 3 == 2:  # a shared factor
+            g = rand_poly(rng, K.q, rng.randint(1, 4))
+            a, b = omul(g, a), omul(g, b)
+        assert tuple(_mul(K, a, b)) == omul(a, b)
+        q, r = _divmod(K, a, b)
+        assert (tuple(q), tuple(r)) == odivmod(a, b)
+        assert tuple(_gcd(K, a, b)) == ogcd(a, b)
+
+
+@pytest.mark.parametrize("p,m", DIGIT_FIELDS)
+def test_digit_sum_frobenius_steps_match_square_and_multiply(p, m):
+    """m steps of one map, h -> h**q mod F, on rows of digit sums, with
+    deg F below and above p so rows come from both the shift and the
+    product."""
+    K = GF(p, m)
+    rng = random.Random(200 * p + m)
+    for n in sorted({3, p + 2} if m < 10 else {3}):
+        F = list(rand_poly(rng, K.q, n - 1)) + [1]
+        rows = _frob_map(K, F)
+        for h in ((0, 1), rand_poly(rng, K.q, n - 1)):
+            got = list(h)
+            for _ in range(m):
+                got = _frob_step(K, got, F, rows, F)
+            assert tuple(got) == oracles.frobenius_power_mod(h, tuple(F), p, m), (n, h)
+
+
+def test_untabulated_odd_extension_takes_the_generic_loop(count_calls):
+    """GF(3**11) is past TABLE_LIMIT: no digit tables, and its kernels add
+    through Field.add_raw."""
+    K = GF(3, 11)
+    assert K._exp is None and _digit_tables(K) is None
+    omul, odivmod, _ = ext_ops(3, 11)
+    adds = count_calls("add_raw", type(K))
+    rng = random.Random(311)
+    a, b = rand_poly(rng, K.q, 6), rand_poly(rng, K.q, 3)
+    assert tuple(_mul(K, a, b)) == omul(a, b)
+    q, r = _divmod(K, a, b)
+    assert (tuple(q), tuple(r)) == odivmod(a, b)
+    assert adds
+
+
+def digits_all(k, p, m):
+    """The encoding of the element of GF(p**m) whose every digit is k mod p."""
+    return k % p * (p**m - 1) // (p - 1)
+
+
+def pair_counts(la, lb):
+    """How many (i, j) with i < la, j < lb have i + j = k, for each k."""
+    return [min(k + 1, la, lb, la + lb - 1 - k) for k in range(la + lb - 1)]
+
+
+@pytest.mark.parametrize("p,m", DIGIT_FIELDS)
+def test_digit_slots_hold_the_largest_sums(p, m):
+    """Terms whose every digit is p - 1, hundreds to a slot, in a product, a
+    division and a Frobenius step; then one slot filled to its 32-bit
+    capacity.  A sum must never carry into the next digit."""
+    K = GF(p, m)
+    L, D, back = _digit_tables(K)
+    full, ones, n = digits_all(-1, p, m), digits_all(1, p, m), 299
+    assert _mul(K, [full] * n, [1] * n) == [digits_all(-c, p, m) for c in pair_counts(n, n)]
+    # quotient ones over a divisor of ones: every row subtracts ones, adding full
+    a = [digits_all(c, p, m) for c in pair_counts(n, n + 1)]
+    assert _divmod(K, a, [1] * (n + 1)) == ([ones] * n, [])
+    F = [0] * n + [1]  # n = 13 * 23, so n rows of full sum to a nonzero
+    assert _frob_step(K, [1] * n, F, [[full] * n] * n, F) == [digits_all(-n, p, m)] * n
+    k = (2**32 - 1) // (p - 1)
+    assert back(k * D[L[full]]) == digits_all(-k, p, m)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
+    """GF(p): _gcd, _mul, _add and _sub.  GF(p**2): _mul, _divmod and m
+    Frobenius steps on a fresh map, of degree above p (rows by shifts) and
+    below it (row 1 by a power).  The digit tables are built first."""
+    K = GF(p, m)
+    _digit_tables(K)
+    rng = random.Random(300 + 10 * p + m)
+    a, b = rand_poly(rng, K.q, 40), rand_poly(rng, K.q, 17)
+
+    def steps(K, a, F):
+        rows, h = _frob_map(K, F), _divmod(K, a, F)[1]
+        return [h := _frob_step(K, h, F, rows, F) for _ in range(K.m)]
+
+    if m == 1:
+        kernels = (_gcd, _mul, _add, _sub)
+        pairs = [(a, b), (b, a), (oracles.pf_mul(a, b, p), b)]
+    else:
+        kernels = (_mul, _divmod, steps)
+        pairs = [(a, b), (a, b[:-1] + (1,)), (a, (1, 0, 1))]
+    want = [f(K, x, y) for f in kernels for x, y in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("field method called from an odd-p kernel")
+
+    for name in ("add_raw", "sub_raw", "neg_raw", "mul_raw", "inv_raw", "pow_raw"):
+        monkeypatch.setattr(type(K), name, forbidden)
+    assert [f(K, x, y) for f in kernels for x, y in pairs] == want
