@@ -22,18 +22,19 @@ The raw kernels _add, _sub, _mul and _divmod choose their loop once per
 call, from the field.  In characteristic 2 addition is XOR, and GF(2) and
 the tabulated GF(2**m) multiply and divide in the log domain (_mul2,
 _divmod2), as does the Taylor shift _shift.  Over GF(p), p odd, the
-kernels, _gcd's one Euclid loop and the packed Frobenius rows are int
-arithmetic reduced mod p only where a value is read.  An odd tabulated
-GF(p**m) multiplies and divides on GF(p)-digit vectors (_digit_tables): a
-product term is one table read at log x + log y, terms add as ints, and
-each coefficient is read back once.  Field.add_raw and Field.mul_raw are
-left to the untabulated GF(p**m), to _shift in odd characteristic and to
-_add over odd GF(p**m).  Every power, plain or mod f, is one _power: the
-bit_length(e) - 1 squarings through _mul and popcount(e) - 1 products by
-the base, none past the result.  Every caller inherits the choice: gcds,
-Frobenius and modular powers, the equal-degree split, the Polynomial
-operators and the Laurent expansions of funcfield, each one Taylor shift
-and one long division.
+kernels, _shift, _gcd's one Euclid loop and the packed Frobenius rows are
+int arithmetic, reduced mod p only where a value is read (_shift at every
+term); for p < deg F a packed row is the row before shifted up, plus p
+multiply-adds by fixed tail rows (_frob_row).  An odd tabulated GF(p**m)
+multiplies and divides on GF(p)-digit vectors (_digit_tables): a product
+term is one table read at log x + log y, terms add as ints, and each
+coefficient is read back once.  Field.add_raw and Field.mul_raw are left to
+the untabulated GF(p**m) and to _add and _shift over odd GF(p**m).  Every
+power, plain or mod f, is one _power: the bit_length(e) - 1 squarings
+through _mul and popcount(e) - 1 products by the base, none past the
+result.  Every caller inherits the choice: gcds, Frobenius and modular
+powers, the equal-degree split, the Polynomial operators and the Laurent
+expansions of funcfield, each one Taylor shift and one long division.
 """
 
 from array import array
@@ -198,7 +199,7 @@ def _mul(K, a, b):
 
 
 def _divmod(K, a, b):
-    """Long division.  Over GF(p), p odd, a row is one slice of int multiply-adds
+    """Long division.  Over GF(p), p odd, a row is a loop of int multiply-adds
     by the negated divisor, and over an odd tabulated GF(p**m) a row of digit
     sums (_digit_tables); only row tops and the remainder are reduced."""
     if not b:
@@ -215,7 +216,8 @@ def _divmod(K, a, b):
         for k in range(len(q) - 1, -1, -1):
             c = q[k] = a[k + db] * inv % p
             if c and nb:
-                a[k : k + db] = [x + c * y for x, y in zip(a[k : k + db], nb)]
+                for j, y in enumerate(nb, k):
+                    a[j] += c * y
         return _trim(q), _trim([x % p for x in a[:db]])
     if digits := _digit_tables(K):
         (L, D, back), n, exp = digits, K.q - 1, K._exp
@@ -307,6 +309,13 @@ def _shift(K, a, alpha):
             for j in range(n - 2, k - 1, -1):
                 t = c[j] = c[j] ^ exp[log[t] + la] if t else c[j]
         return c
+    if K.m == 1:
+        p = K.p
+        for k in range(n - 1):
+            t = c[-1]
+            for j in range(n - 2, k - 1, -1):
+                t = c[j] = (c[j] + t * alpha) % p
+        return c
     mul, add = K.mul_raw, K.add_raw
     for k in range(n - 1):
         t = c[-1]
@@ -320,10 +329,14 @@ _SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> array typecode
 
 def _slot_width(K, F):
     """Bytes per slot of F's packed map over GF(p), p odd: the least of 1, 2, 4,
-    8 holding deg F * (p - 1)**2, a step's top sum; 0 past 8 bytes (p ~ 2**31)."""
+    8 holding a step's top sum, n * (p - 1) * r for n = deg F and r a row's
+    largest slot; 0 past 8 bytes (p ~ 2**31).  For p >= n rows are reduced,
+    r = p - 1; for p < n, r = (n + p - 1) * (p - 1)**2 + 1 (_frob_row)."""
     if K.p == 2 or K.m > 1:
         return 0
-    nbytes = -(-((len(F) - 1) * (K.p - 1) ** 2).bit_length() // 8)
+    n, p = len(F) - 1, K.p
+    r = (n + p - 1) * (p - 1) ** 2 + 1 if p < n else p - 1
+    nbytes = -(-(n * (p - 1) * r).bit_length() // 8)
     w = 1 << (nbytes - 1).bit_length()  # nbytes rounded up to 1, 2, 4, 8, ...
     return w if w <= 8 else 0
 
@@ -332,23 +345,54 @@ def _unpack(v, n, w):
     return memoryview(v.to_bytes(n * w, byteorder)).cast(_SLOTS[w])
 
 
+class _Map(list):  # a Frobenius map's rows; len counts rows, not the tail
+    tail = None
+
+
 def _frob_map(K, F):
-    """F's Frobenius map with row 0 = 1 built; see _frob_step."""
-    return [1] if _slot_width(K, F) else [[1]]
+    """F's Frobenius map with row 0 = 1 built; see _frob_step.  With packed
+    rows and p < n = deg F it gets tail rows x**(n + k) mod F, k < p, at its
+    first build, and rows stay unreduced (the slot bound is in _frob_row)."""
+    return _Map([1] if _slot_width(K, F) else [[1]])
 
 
 def _frob_row(K, rows, F, w):
     """Row i = len(rows) of the Frobenius map of F, x**(p*i) mod F.
 
-    For p < deg F it is row i - 1 shifted by p places, with its p top
-    coefficients reduced.  For larger p row 1 is x**p mod F, one _power,
-    and row i is row 1 times row i - 1 mod F.  Packed rows are read back.
+    For packed rows and p < n = deg F, x**p times row i - 1 is that row
+    shifted up p slots, its top slots c_k dropped, plus the sum over k < p
+    of (c_k % p) * T_k, T_k = x**(n + k) mod F reduced: p bigint
+    multiply-adds, and no reduction.  A build adds at most p * (p - 1)**2 to
+    a slot and moves it up p places, so a slot is at most row 0's 1 plus
+    ceil(n / p) such sums: (n + p - 1) * (p - 1)**2 + 1.  List rows are row
+    i - 1 shifted and reduced mod F.  For p >= n row 1 is x**p mod F, one
+    _power, and row i is row 1 times row i - 1 mod F.
     """
-    read = (lambda r: _trim(list(_unpack(r, len(F) - 1, w)))) if w else (lambda r: r)
-    if K.p < len(F) - 1:
-        row = _mod(K, [0] * K.p + read(rows[-1]), F)
+    p, n = K.p, len(F) - 1
+    if w and p < n:
+        b, m, code = 8 * w, n * w, _SLOTS[w]
+        if rows.tail is None:  # x**n = -F[:n] / lead, x**(n+k+1) = x * x**(n+k)
+            inv = p - pow(F[-1], -1, p)
+            t0 = array(code, [c * inv % p for c in F[:-1]])
+            T = T0 = tail = int.from_bytes(t0, byteorder)
+            for k in range(1, p):  # T_k, its slots unreduced but below p**3
+                T = ((T & (1 << 8 * m - b) - 1) << b) + (T >> 8 * m - b) % p * T0
+                tail += T << 8 * m * k
+            r = array(code, [c % p for c in _unpack(tail, p * n, w)])
+            tail = [int.from_bytes(r[k : k + n], byteorder) for k in range(0, p * n, n)]
+            rows.tail = tail, b * (n - p), (1 << b * (n - p)) - 1, (1 << b) - 1
+        (tail, s, low, mask), v = rows.tail, rows[-1]
+        top, row = v >> s, (v & low) << b * p
+        for T in tail:
+            if c := (top & mask) % p:
+                row += c * T
+            top >>= b
+        return row
+    read = (lambda r: _trim(list(_unpack(r, n, w)))) if w else (lambda r: r)
+    if p < n:  # list rows: packed ones took the branch above
+        row = _mod(K, [0] * p + rows[-1], F)
     elif len(rows) == 1:
-        row = _power(K, [0, 1], K.p, F)
+        row = _power(K, [0, 1], p, F)
     else:
         row = _mod(K, _mul(K, read(rows[1]), read(rows[-1])), F)
     return int.from_bytes(array(_SLOTS[w], row), byteorder) if w else row

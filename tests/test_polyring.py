@@ -290,6 +290,24 @@ def test_is_irreducible_builds_each_row_once(count_calls):
     assert all(b[1] is steps[0][3] for b in builds) and len(steps[0][3]) == 28
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_rows_are_built_with_no_division(p, count_calls):
+    """For p < deg F every row of a full map comes from the row before and
+    the tail rows: no _divmod, _mul or _power; for deg F <= p the rows are a
+    _power and products mod F."""
+    K = GF(p)
+    calls = [count_calls(name, polyring) for name in ("_divmod", "_mul", "_power")]
+    for n, divides in ((40, False), (p, True)):
+        for c in calls:
+            c.clear()
+        F = _random_raw(random.Random(n), K, n)
+        w, rows = polyring._slot_width(K, F), polyring._frob_map(K, F)
+        while len(rows) < n:
+            rows.append(polyring._frob_row(K, rows, F, w))
+        assert [bool(c) for c in calls] == [divides] * 3
+        assert w and len(rows) == n
+
+
 def test_factor_over_a_large_prime_powers_once_per_split(count_calls):
     """A degree-40 polynomial over GF(2**31 - 1) with no root: its one split
     runs 14 steps, the first 3 on F itself.  x**p mod F is its one _power

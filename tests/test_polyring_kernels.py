@@ -8,13 +8,15 @@ and long-hand polynomial arithmetic with field products reduced digit-wise
 GF(2**m).
 
 Odd prime fields: GF(p) divides with integer multiply-adds and takes its
-Frobenius steps on packed rows, slots of 1, 2, 4 or 8 bytes chosen from
-deg F * (p - 1)**2, with list rows past 8 bytes.  Division and gcd are
-checked against `pf_mod` and sympy, Frobenius steps against
-`frobenius_power_mod` on both sides of every slot-width boundary, and the
-packed step on the largest sums its slots must hold.  The gcd is one Euclid
-loop, checked against a `pf_mod` Euclid and sympy's `gf_gcd` up to degree
-400.
+Frobenius steps on packed rows, slots of 1, 2, 4 or 8 bytes chosen from the
+largest sum a step adds, with list rows past 8 bytes.  For p < deg F each
+row is built from the one before, unreduced, by p multiply-adds with the
+tail rows x**(deg F + k) mod F.  Division and gcd are checked against
+`pf_mod` and sympy, every row of a map against `pf_mod` of x**(p*i) and
+against the slot bound, Frobenius steps against `frobenius_power_mod` on
+both sides of every slot-width boundary, and the packed step on the largest
+sums its slots must hold.  The gcd is one Euclid loop, checked against a
+`pf_mod` Euclid and sympy's `gf_gcd` up to degree 400.
 
 Odd tabulated GF(p**m): products, divisions and Frobenius steps add GF(p)-
 digit vectors in 32-bit slots (`_digit_tables`), checked against the
@@ -37,12 +39,14 @@ from ramforge.polyring import (
     _digit_tables,
     _divmod,
     _frob_map,
+    _frob_row,
     _frob_step,
     _gcd,
     _mul,
     _shift,
     _slot_width,
     _sub,
+    _unpack,
 )
 
 MAX_DEG = 64
@@ -171,10 +175,23 @@ def test_char2_kernels_make_no_field_calls(monkeypatch, m):
 BIG_P = 2**31 - 1
 ODD_PRIMES = [3, 5, 7, 251, 65521, BIG_P]
 
-# (p, deg F) -> bytes per slot: each pair straddles the step where
-# deg F * (p - 1)**2 outgrows a width; 0 is the list-row fallback
+
+def row_bound(p, n):
+    """The largest slot of a row of a degree-n map over GF(p): reduced rows
+    for p >= n; for p < n row 0's 1 plus at most ceil(n / p) tail sums,
+    each of p terms at most (p - 1)**2, and p * ceil(n / p) <= n + p - 1."""
+    return (n + p - 1) * (p - 1) ** 2 + 1 if p < n else p - 1
+
+
+# (p, deg F) -> bytes per slot: pairs straddle each step where
+# n * (p - 1) * row_bound(p, n), a step's largest sum, outgrows a width,
+# for p = 3, 5 and 7 from 1 to 2 and from 2 to 4 bytes; 0 is the list-row
+# fallback.  (3, 63), (3, 64), (5, 15) and (5, 16), where rows reduced mod
+# p changed width, lie inside the 2-byte range of unreduced rows.
 SLOT_WIDTHS = {
-    (3, 63): 1, (3, 64): 2, (5, 15): 1, (5, 16): 2, (7, 7): 1, (7, 8): 2,
+    (3, 4): 1, (3, 5): 2, (3, 63): 2, (3, 64): 2, (3, 89): 2, (3, 90): 4,
+    (5, 5): 1, (5, 6): 2, (5, 15): 2, (5, 16): 2, (5, 30): 2, (5, 31): 4,
+    (7, 7): 1, (7, 8): 2, (7, 14): 2, (7, 15): 4,
     (251, 1): 2, (251, 2): 4, (65521, 1): 4, (65521, 2): 8,
     (BIG_P, 4): 8, (BIG_P, 5): 0,
 }
@@ -184,7 +201,9 @@ def test_slot_widths_at_each_boundary():
     for (p, n), w in SLOT_WIDTHS.items():
         F = [1] * n + [1]
         assert _slot_width(GF(p), F) == w, (p, n)
-        assert w == 0 or n * (p - 1) ** 2 < 256**w
+        top = n * (p - 1) * row_bound(p, n)
+        assert w == 0 or top < 256**w  # w holds a step's largest sum
+        assert w <= 1 or top >= 256 ** (w // 2)  # and half of w would not
     for K in (GF(2), GF(2, 2), GF(3, 2), GF(5, 2)):
         assert _slot_width(K, [1] * 9) == 0
 
@@ -233,16 +252,40 @@ def test_gfp_frobenius_steps_match_square_and_multiply(p):
         assert all(isinstance(r, int) for r in rows) == (SLOT_WIDTHS[p, n] > 0)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gfp_frobenius_rows_match_pf_mod(p):
+    """Every row i < n of a full map, x**(p*i) mod F, against `pf_mod`, on
+    both sides of each width boundary of SLOT_WIDTHS and for n <= p, where
+    row 1 is a power and row i a product.  F is all p - 1 below a monic top,
+    which drives the tail sums up, or random with a random lead.  No slot
+    passes row_bound."""
+    K = GF(p)
+    rng = random.Random(20 * p + 1)
+    for n in sorted({n for q, n in SLOT_WIDTHS if q == p} | {2, p}):
+        lead = rng.randrange(1, p)
+        for F in ([p - 1] * n + [1], [rng.randrange(p) for _ in range(n)] + [lead]):
+            w = _slot_width(K, F)
+            rows = _frob_map(K, F)
+            while len(rows) < n:
+                rows.append(_frob_row(K, rows, F, w))
+            for i, row in enumerate(rows):
+                slots = list(_unpack(row, n, w))
+                assert max(slots) <= row_bound(p, n), (p, n, i)
+                want = oracles.pf_mod((0,) * (p * i) + (1,), tuple(F), p)
+                assert oracles.pf_trim(c % p for c in slots) == want, (p, n, i)
+
+
 @pytest.mark.parametrize("p,n", sorted((p, n) for (p, n), w in SLOT_WIDTHS.items() if w))
 def test_packed_step_holds_the_largest_sums(p, n):
-    """Every row and coefficient at p - 1: each slot sums n * (p - 1)**2,
-    the most a step adds, and that is n mod p."""
+    """Every row at its largest unreduced slot, row_bound(p, n), and every
+    coefficient of h at p - 1: each slot sums n * (p - 1) * row_bound(p, n),
+    the most a step adds, and the step reads that sum back mod p."""
     K = GF(p)
     F = [1] * n + [1]
-    w = _slot_width(K, F)
-    full = int.from_bytes(array(_SLOTS[w], [p - 1] * n), sys.byteorder)
+    w, r = _slot_width(K, F), row_bound(p, n)
+    full = int.from_bytes(array(_SLOTS[w], [r] * n), sys.byteorder)
     got = _frob_step(K, [p - 1] * n, F, [full] * n, F)
-    assert tuple(got) == oracles.pf_trim([n % p] * n)
+    assert tuple(got) == oracles.pf_trim([n * (p - 1) * r % p] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +451,7 @@ def test_digit_slots_hold_the_largest_sums(p, m):
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2)])
 def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
-    """GF(p): _gcd, _mul, _add and _sub.  GF(p**2): _mul, _divmod and m
+    """GF(p): _gcd, _mul, _add, _sub and _shift.  GF(p**2): _mul, _divmod and m
     Frobenius steps on a fresh map, of degree above p (rows by shifts) and
     below it (row 1 by a power).  The digit tables are built first."""
     K = GF(p, m)
@@ -421,7 +464,7 @@ def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
         return [h := _frob_step(K, h, F, rows, F) for _ in range(K.m)]
 
     if m == 1:
-        kernels = (_gcd, _mul, _add, _sub)
+        kernels = (_gcd, _mul, _add, _sub, lambda K, a, b: _shift(K, a, b[-1]))
         pairs = [(a, b), (b, a), (oracles.pf_mul(a, b, p), b)]
     else:
         kernels = (_mul, _divmod, steps)
