@@ -21,9 +21,10 @@ order test: g generates the multiplicative group iff g**((q-1)/l) != 1 for
 every prime l dividing q - 1.  Multiplication by g is GF(p)-linear, so the
 powers of g then follow from two small tables of products with g (one for
 the low half of the digits, one for the high half) by lookups and one
-addition each; see Field._build_tables.  Larger fields fall back to digit
-arithmetic, which is slow but exact; in characteristic 2 the digits are
-bits, and a product is carry-less on the integer encodings.
+addition each; see Field._build_tables.  For odd p and q**2 <= TABLE_LIMIT
+an addition table, built digit by digit, comes first.  Larger fields fall
+back to digit arithmetic, which is slow but exact; in characteristic 2 the
+digits are bits, and a product is carry-less on the integer encodings.
 """
 
 from .config import MAX_FIELD_SIZE, TABLE_LIMIT
@@ -83,6 +84,8 @@ class Field:
         self._mod_bits = None  # for p = 2: the modulus as a bit vector
         self._exp = None
         self._log = None
+        self._add = None  # odd p, q**2 <= TABLE_LIMIT: _add[x][y] encodes x + y
+        self._sums = None  # polyring._add_tables, built on first use
         self._digits = None  # polyring._digit_tables, built on first use
         if m > 1:
             from .polyring import irreducible_poly
@@ -141,6 +144,8 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._add:
+            return self._add[a][b]
         s, shift, p = 0, 1, self.p
         while a or b:
             s += ((a + b) % p) * shift
@@ -154,6 +159,8 @@ class Field:
             return a
         if self.m == 1:
             return (-a) % self.p
+        if self._add:  # -a = (p - 1) * a, on the exp/log tables
+            return self.mul_raw(a, self.p - 1)
         s, shift, p = 0, 1, self.p
         while a:
             s += ((p - a % p) % p) * shift
@@ -258,15 +265,21 @@ class Field:
         v*g = lo*g + (hi*z**(m//2))*g since multiplication by g is
         GF(p)-linear.  Both products are tabulated once (about 2*sqrt(q)
         digit multiplications), so each power of g costs two lookups and
-        one addition.
+        one addition.  For odd p and q**2 <= TABLE_LIMIT the addition table comes
+        first: x + y = (x0 + y0) % p + p*(x1 + y1) for x = x0 + p*x1, row x1 < x.
         """
-        q, n = self.q, self.q - 1
+        q, n, p = self.q, self.q - 1, self.p
+        if p > 2 and q * q <= TABLE_LIMIT:
+            digit_sum = [[(x0 + y0) % p for y0 in range(p)] for x0 in range(p)]
+            self._add = t = [list(range(q))]
+            for x in range(1, q):
+                t.append([c + p * u for u in t[x // p][: q // p] for c in digit_sum[x % p]])
         cofactors = [n // ell for ell in _prime_divisors(n)]
         g = next(
             c for c in range(2, q)
             if all(self.pow_raw(c, e) != 1 for e in cofactors)
         )
-        P = self.p ** (self.m // 2)
+        P = p ** (self.m // 2)
         low = [self._mul_digits(lo, g) for lo in range(P)]
         high = [self._mul_digits(hi * P, g) for hi in range(q // P)]
         add = self.add_raw

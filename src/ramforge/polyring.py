@@ -25,20 +25,21 @@ _divmod2), as does the Taylor shift _shift.  Over GF(p), p odd, the
 kernels, _shift, _gcd's one Euclid loop and the packed Frobenius rows are
 int arithmetic, reduced mod p only where a value is read (_shift at every
 term); for p < deg F a packed row is the row before shifted up, plus p
-multiply-adds by fixed tail rows (_frob_row).  An odd tabulated GF(p**m)
-multiplies and divides on GF(p)-digit vectors (_digit_tables): a product
-term is one table read at log x + log y, terms add as ints, and each
-coefficient is read back once.  Field.add_raw and Field.mul_raw are left to
-the untabulated GF(p**m) and to _add and _shift over odd GF(p**m).  Every
-power, plain or mod f, is one _power: the bit_length(e) - 1 squarings
-through _mul and popcount(e) - 1 products by the base, none past the
-result.  Every caller inherits the choice: gcds, Frobenius and modular
-powers, the equal-degree split, the Polynomial operators and the Laurent
-expansions of funcfield, each one Taylor shift and one long division.
+multiply-adds by fixed tail rows (_frob_row).  An odd GF(p**m) with q <= 256
+keeps plain encodings: a term reads exp at log x + log y, a sum the field's
+addition table (_add_tables).  Past q = 256 a tabulated one adds GF(p)-digit
+vectors as ints, read back once per coefficient (_digit_tables); _monic and
+_derivative read exp and log on both.  Field.add_raw and mul_raw are left to
+the untabulated GF(p**m), and to _add and _shift over digit sums.  Every power,
+plain or mod f, is one _power: the bit_length(e) - 1 squarings through _mul
+and popcount(e) - 1 products by the base, none past the result.  Every
+caller inherits the choice: gcds, Frobenius and modular powers, the
+equal-degree split, the Polynomial operators and the Laurent expansions of
+funcfield, each one Taylor shift and one long division.
 """
 
 from array import array
-from operator import add, mul, xor
+from operator import add, getitem, mul, xor
 from sys import byteorder
 
 from .config import MAX_COVER_DEGREE
@@ -123,8 +124,21 @@ def _divmod2(tables, a, b):
     return _trim(q), _trim(a[:db])
 
 
+def _add_tables(K):
+    """(ADD, E, L) of an odd GF(p**m), m >= 2, q**2 <= TABLE_LIMIT, else None:
+    ADD[x][y] = x + y (Field._add); E is exp four times over, then 4(q-1) + 1
+    zeros; L[0] = 4(q-1), else the log: E[L[x] + l] = x*g**l for l < 3(q-1)."""
+    if K._add is None:
+        return None
+    if K._sums is None:  # built on first use
+        n = K.q - 1
+        K._sums = K._add, K._exp * 4 + [0] * (4 * n + 1), [4 * n, *K._log[1:]]
+    return K._sums
+
+
 def _digit_tables(K):
     """(L, D, back) of a tabulated GF(p**m), m >= 2; None for other fields.
+    The kernels read them past q = 256 only; up to it they use _add_tables.
 
     D[l] holds the GF(p) digits of g**l in 32-bit slots, so elements add as
     ints: each digit is below p < 2**8 (p**2 <= TABLE_LIMIT = 2**16), and a
@@ -150,23 +164,27 @@ def _digit_tables(K):
 
 
 def _add(K, a, b):
-    """a + b; in characteristic 2 XOR, over GF(p), p odd, int sums mod p."""
+    """a + b: XOR in characteristic 2, int sums mod p over GF(p), table reads."""
     if len(a) < len(b):
         a, b = b, a
     if K.m == 1 and K.p > 2:
         return _trim([*map(K.p.__rmod__, map(add, a, b)), *a[len(b):]])
+    if K._add:
+        return _trim([*map(getitem, map(K._add.__getitem__, a), b), *a[len(b):]])
     return _trim([*map(xor if K.p == 2 else K.add_raw, a, b), *a[len(b):]])
 
 
 def _sub(K, a, b):
     p = K.p
+    if K._add:  # -y = (p - 1) * y
+        return _add(K, a, _mul(K, b, [p - 1]))
     nb = b if p == 2 else [-y % p for y in b] if K.m == 1 else [*map(K.neg_raw, b)]
     return _add(K, a, nb)
 
 
 def _mul(K, a, b):
-    """a*b; over GF(p), p odd, or an odd tabulated GF(p**m) (digit sums, see
-    _digit_tables) each coefficient is reduced once, after all its terms."""
+    """a*b; over GF(p), p odd, or on digit sums (_digit_tables) each coefficient
+    is reduced once, after all its terms; on an addition table, two reads."""
     if not a or not b:
         return []
     tables = _log_tables(K)
@@ -180,6 +198,15 @@ def _mul(K, a, b):
                     out[j] += x * y
         p = K.p
         return _trim([v % p for v in out])
+    if tables := _add_tables(K):
+        ADD, E, L = tables
+        lb = [L[y] for y in b]
+        for i, x in enumerate(a):
+            if x:
+                lx = L[x]
+                for j, ly in enumerate(lb, i):
+                    out[j] = ADD[out[j]][E[lx + ly]]
+        return _trim(out)
     if digits := _digit_tables(K):
         L, D, back = digits
         lb = [L[y] for y in b]
@@ -199,9 +226,9 @@ def _mul(K, a, b):
 
 
 def _divmod(K, a, b):
-    """Long division.  Over GF(p), p odd, a row is a loop of int multiply-adds
-    by the negated divisor, and over an odd tabulated GF(p**m) a row of digit
-    sums (_digit_tables); only row tops and the remainder are reduced."""
+    """Long division.  A row is a loop of int multiply-adds by the negated
+    divisor over GF(p), p odd, of table reads (_add_tables) or of digit sums
+    (_digit_tables); GF(p) and digit sums reduce row tops and the remainder."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     tables = _log_tables(K)
@@ -219,6 +246,17 @@ def _divmod(K, a, b):
                 for j, y in enumerate(nb, k):
                     a[j] += c * y
         return _trim(q), _trim([x % p for x in a[:db]])
+    if tables := _add_tables(K):  # rows add c times the logs of -b/lead
+        (ADD, E, L), n = tables, K.q - 1
+        linv = n - L[b[-1]]
+        nb = [L[y] + linv + n // 2 for y in b[:-1]]
+        for k in range(len(q) - 1, -1, -1):
+            if c := a[k + db]:
+                lc = L[c]
+                q[k] = E[lc + linv]
+                for j, ly in enumerate(nb, k):
+                    a[j] = ADD[a[j]][E[lc + ly]]
+        return _trim(q), _trim(a[:db])
     if digits := _digit_tables(K):
         (L, D, back), n, exp = digits, K.q - 1, K._exp
         a, lb, linv = [D[L[x]] for x in a], [L[y] for y in b[:-1]], n - L[b[-1]]
@@ -252,6 +290,14 @@ def _monic(K, a):
     lc = a[-1]
     if lc == 1:
         return list(a), 1
+    if K.m == 1:  # a times 1/lc, no field call
+        return _mul(K, a, [pow(lc, -1, K.p)]), lc
+    if K.p > 2 and K._exp:  # times g**-log(lc), on the field's exp/log
+        exp, log, n, out = K._exp, K._log, K.q - 1, []
+        s = n - log[lc]
+        for c in a:
+            out.append(exp[(log[c] + s) % n] if c else 0)
+        return out, lc
     inv = K.inv_raw(lc)
     return [K.mul_raw(c, inv) for c in a], lc
 
@@ -283,9 +329,18 @@ def _gcd(K, a, b):
 
 
 def _derivative(K, a):
-    out = []
-    for i in range(1, len(a)):
-        out.append(K.mul_raw(a[i], i % K.p))
+    p, out = K.p, []
+    if K.m == 1:
+        for k in range(1, len(a)):
+            out.append(a[k] * k % p)
+    elif p > 2 and K._exp:  # on the field's exp/log
+        exp, log, n = K._exp, K._log, K.q - 1
+        for k in range(1, len(a)):
+            c = a[k]
+            out.append(exp[(log[c] + log[k % p]) % n] if c and k % p else 0)
+    else:
+        for k in range(1, len(a)):
+            out.append(K.mul_raw(a[k], k % p))
     return _trim(out)
 
 
@@ -315,6 +370,13 @@ def _shift(K, a, alpha):
             t = c[-1]
             for j in range(n - 2, k - 1, -1):
                 t = c[j] = (c[j] + t * alpha) % p
+        return c
+    if tables := _add_tables(K):
+        (ADD, E, L), la = tables, tables[2][alpha]
+        for k in range(n - 1):
+            t = c[-1]
+            for j in range(n - 2, k - 1, -1):
+                t = c[j] = ADD[c[j]][E[L[t] + la]]
         return c
     mul, add = K.mul_raw, K.add_raw
     for k in range(n - 1):
@@ -408,7 +470,7 @@ def _frob_step(K, h, f, rows, F):
     rows to deg h, so a caller that stops early builds only what it reads.
     Over GF(p), p odd, phi is the identity and each row one int of packed
     slots (_slot_width), so a step is deg F bigint multiply-adds and one
-    unpacking mod p; GF(p**m) keeps list rows, of digit sums when tabulated.
+    unpacking mod p; GF(p**m) keeps list rows, summed by table or digit sums.
     In characteristic 2, p - 1 = 1: the rows would only add their cost, so
     h is spread over x**2 and reduced mod f.
     """
@@ -422,6 +484,14 @@ def _frob_step(K, h, f, rows, F):
     if w:
         return _trim([v % p for v in _unpack(sum(map(mul, h, rows)), len(F) - 1, w)])
     out = [0] * (len(F) - 1)
+    if tables := _add_tables(K):
+        ADD, E, L = tables
+        for c, row in zip(h, rows):
+            if c:
+                lc = L[c] * p % (K.q - 1)  # phi multiplies a log by p
+                for j, r in enumerate(row):
+                    out[j] = ADD[out[j]][E[lc + L[r]]]
+        return _trim(out)
     if digits := _digit_tables(K):
         L, D, back = digits
         for c, row in zip(h, rows):

@@ -460,14 +460,31 @@ ODD_EXT_FACTOR_DIGEST = "a85d349b840a2f6c863c0ae09df1f05898c075147e1eff0c1da9685
 
 
 def test_odd_extension_factor_lists_match_the_frozen_digest():
-    """As above, over GF(25), GF(27) and GF(49), which the digit-sum kernels
-    (polyring._digit_tables) serve."""
+    """As above, over GF(25), GF(27) and GF(49), which the addition-table
+    kernels (polyring._add_tables) serve; the digit-sum kernels did before."""
     h = hashlib.sha256()
     count = 0
     for f in _digest_inputs(ODD_EXT_DIGEST_CORPUS, 20181102):
         h.update(repr([(g.degree, g.encoding(), e) for g, e in factor(f).factors]).encode())
         count += 1
     assert (count, h.hexdigest()) == (150, ODD_EXT_FACTOR_DIGEST)
+
+
+# 170 inputs over GF(9), the survey's field, and GF(3**5) and GF(13**2), the
+# largest fields under the addition-table gate (q <= 256); 0.6 s at the
+# parent of the addition tables (digit sums), 0.3 s with them
+TABLE_DIGEST_CORPUS = [(3, 2, 90, 60), (3, 5, 40, 24), (13, 2, 40, 24)]
+# SHA-256 of their factor lists, computed before the addition-table kernels
+TABLE_FACTOR_DIGEST = "680efce1aad3fff986e911988e24221e08ef8dac7b59eeff17c04cfd0de854f1"
+
+
+def test_table_field_factor_lists_match_the_frozen_digest():
+    h = hashlib.sha256()
+    count = 0
+    for f in _digest_inputs(TABLE_DIGEST_CORPUS, 20181103):
+        h.update(repr([(g.degree, g.encoding(), e) for g, e in factor(f).factors]).encode())
+        count += 1
+    assert (count, h.hexdigest()) == (170, TABLE_FACTOR_DIGEST)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ both sides of every slot-width boundary, and the packed step on the largest
 sums its slots must hold.  The gcd is one Euclid loop, checked against a
 `pf_mod` Euclid and sympy's `gf_gcd` up to degree 400.
 
-Odd tabulated GF(p**m): products, divisions and Frobenius steps add GF(p)-
-digit vectors in 32-bit slots (`_digit_tables`), checked against the
-`ext_poly_*` oracles and square and multiply over GF(9) to GF(3**10), and
-on terms whose every digit is p - 1, up to a slot's capacity.  GF(3**11),
-past the table limit, keeps the field-call loops.
+Odd tabulated GF(p**m): up to q = 256 (q**2 <= TABLE_LIMIT) every kernel
+adds through the field's addition table, checked against `ext_add` on every
+pair of the nine such fields; past it, products, divisions and Frobenius
+steps add GF(p)-digit vectors in 32-bit slots (`_digit_tables`).  Both are
+checked against the `ext_poly_*` oracles and square and multiply over GF(9)
+to GF(3**10), and on terms whose every digit is p - 1, up to a slot's
+capacity.  GF(3**11), past the table limit, keeps the field-call loops.
 """
 
 import random
@@ -36,12 +38,15 @@ from ramforge import GF
 from ramforge.polyring import (
     _SLOTS,
     _add,
+    _add_tables,
+    _derivative,
     _digit_tables,
     _divmod,
     _frob_map,
     _frob_row,
     _frob_step,
     _gcd,
+    _monic,
     _mul,
     _shift,
     _slot_width,
@@ -219,6 +224,7 @@ def _from_sympy(g, p):
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_gfp_division_and_gcd_match_pf_mod_and_sympy(p):
+    """_divmod, _gcd, _monic and _derivative against `pf_mod` and sympy."""
     K = GF(p)
     rng = random.Random(p)
     for shared, a, b in input_pairs(rng, p, 16):
@@ -231,6 +237,8 @@ def test_gfp_division_and_gcd_match_pf_mod_and_sympy(p):
         c = _sympy_poly(b[-1:], p)  # a constant divisor: the quotient row alone
         assert tuple(_divmod(K, a, b[-1:])[0]) == _from_sympy(A.div(c)[0], p)
         assert tuple(_gcd(K, a, b)) == _from_sympy(A.gcd(B).monic(), p)
+        assert tuple(_monic(K, b)[0]) == _from_sympy(B.monic(), p)
+        assert tuple(_derivative(K, a)) == _from_sympy(A.diff(), p)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
@@ -356,9 +364,14 @@ def test_gfp_euclid_reduces_the_remainder_it_returns():
 
 
 # ---------------------------------------------------------------------------
-# odd tabulated GF(p**m): products and division on GF(p)-digit sums
+# odd tabulated GF(p**m): an addition table up to q = 256, digit sums past it
 
-DIGIT_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 10)]
+# every odd GF(p**m), m >= 2, with q**2 <= TABLE_LIMIT: one addition table each
+TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (13, 2), (3, 5)]
+# the kernel tests below keep the ids they had as digit-sum tests: GF(9),
+# GF(25), GF(27) and GF(49) now run on addition tables, as GF(3**5), the last
+# field under the gate, does; GF(3**6), GF(5**4) and GF(3**10) on digit sums
+ODD_EXT_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 5), (3, 6), (5, 4), (3, 10)]
 
 
 def ext_ops(p, m):
@@ -370,40 +383,115 @@ def ext_ops(p, m):
     )
 
 
-@pytest.mark.parametrize("p,m", DIGIT_FIELDS)
-def test_digit_sum_kernels_match_the_extension_oracle(p, m):
+def assert_tables(K):
+    """Once kernels have run: up to q = 256 they built the addition tables and
+    no digit sums, past it digit sums and no addition table."""
+    tabled = K.q <= 256
+    assert (K._add is not None) == (K._sums is not None) == tabled
+    assert (K._digits is None) == tabled
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_addition_tables_match_ext_add(p, m):
+    """ADD[x][y] against `ext_add` on every pair, and the field's element
+    arithmetic, which reads the tables, against `ext_add` and `ext_neg`."""
     K = GF(p, m)
-    assert _digit_tables(K) is not None
+    add = K._add
+    assert len(add) == K.q and all(len(row) == K.q for row in add)
+    for x in range(K.q):
+        assert add[x] == [oracles.ext_add(x, y, p) for y in range(K.q)], x
+        assert K.neg_raw(x) == oracles.ext_neg(x, p)
+        y = (7 * x + 3) % K.q
+        assert K.add_raw(x, y) == oracles.ext_add(x, y, p)
+        assert K.sub_raw(x, y) == oracles.ext_add(x, oracles.ext_neg(y, p), p)
+
+
+def test_addition_table_gate():
+    """The gate is q**2 <= TABLE_LIMIT: GF(3**5) has an addition table and no
+    digit sums, GF(3**6) and GF(17**2) the reverse.  Characteristic 2, prime
+    fields and untabulated fields have no addition table, and GF(3**11) no
+    digit sums either."""
+    for p, m in TABLE_FIELDS + [(3, 6), (17, 2), (5, 4), (3, 10)]:
+        K = GF(p, m)
+        _divmod(K, _mul(K, [1, 2, 1], [2, 1]), [1, 1])
+        assert_tables(K)
+    for K in (GF(3), GF(251), GF(2, 8), GF(3, 11)):
+        assert K._add is None and _add_tables(K) is None
+    assert _digit_tables(GF(3, 11)) is None
+
+
+def ext_pairs(rng, q, omul, top):
+    """Zero operands, constant divisors, a divisor longer than the dividend,
+    shared factors and random (mostly non-monic) leads."""
+
+    def r(d):
+        return rand_poly(rng, q, d)
+
+    c = r(0)
+    pairs = [((), r(3)), (r(top), c), (c, c), (r(2), r(top)), (r(top), r(top))]
+    for _ in range(6):
+        pairs.append((r(rng.randint(0, top)), r(rng.randint(0, top // 2))))
+    for dg in (1, 4):
+        g = r(dg)
+        pairs.append((omul(g, r(top - dg)), omul(g, r(top // 2))))
+    g = r(3)  # one operand divides the other
+    pairs.append((omul(g, r(top // 2)), g))
+    return pairs
+
+
+@pytest.mark.parametrize("p,m", ODD_EXT_FIELDS)
+def test_digit_sum_kernels_match_the_extension_oracle(p, m):
+    """_mul, _divmod and _gcd, both ways round, and _add, _sub, _monic,
+    _derivative and _shift against the `ext_*` oracles, on addition tables
+    (q <= 256) or digit sums."""
+    K = GF(p, m)
     omul, odivmod, ogcd = ext_ops(p, m)
+    modulus = oracles.pf_canonical_modulus(p, m)
+
+    def oadd(a, b):
+        n = max(len(a), len(b))
+        a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+        return oracles.pf_trim([oracles.ext_add(x, y, p) for x, y in zip(a, b)])
+
+    def oscale(a, c):
+        return oracles.pf_trim([oracles.ext_mul(x, c, p, modulus) for x in a])
+
+    def oshift(a, alpha):  # Horner's rule in x + alpha
+        out = ()
+        for c in reversed(a):
+            out = oadd(omul(out, (alpha, 1)), (c,))
+        return out
+
     rng = random.Random(100 * p + m)
-    top = 24 if m < 10 else 10
-    for k in range(8):
-        a = rand_poly(rng, K.q, rng.randint(-1, top))
-        b = rand_poly(rng, K.q, rng.randint(0, top // 2 if k % 2 else top))
-        if k % 3 == 2:  # a shared factor
-            g = rand_poly(rng, K.q, rng.randint(1, 4))
-            a, b = omul(g, a), omul(g, b)
+    for a, b in ext_pairs(rng, K.q, omul, 24 if m < 6 else 10):
         assert tuple(_mul(K, a, b)) == omul(a, b)
         q, r = _divmod(K, a, b)
         assert (tuple(q), tuple(r)) == odivmod(a, b)
-        assert tuple(_gcd(K, a, b)) == ogcd(a, b)
+        assert tuple(_gcd(K, a, b)) == tuple(_gcd(K, b, a)) == ogcd(a, b)
+        assert tuple(_add(K, a, b)) == oadd(a, b)
+        assert tuple(_sub(K, a, b)) == oadd(a, tuple(oracles.ext_neg(y, p) for y in b))
+        assert tuple(_monic(K, b)[0]) == oscale(b, oracles.ext_inv(b[-1], p, modulus))
+        want = oracles.pf_trim([oracles.ext_mul(c, i % p, p, modulus) for i, c in enumerate(a)][1:])
+        assert tuple(_derivative(K, a)) == want
+        assert tuple(_shift(K, b, b[-1])) == oshift(b, b[-1])
+    assert_tables(K)
 
 
-@pytest.mark.parametrize("p,m", DIGIT_FIELDS)
+@pytest.mark.parametrize("p,m", ODD_EXT_FIELDS)
 def test_digit_sum_frobenius_steps_match_square_and_multiply(p, m):
-    """m steps of one map, h -> h**q mod F, on rows of digit sums, with
-    deg F below and above p so rows come from both the shift and the
-    product."""
+    """m steps of one map, h -> h**q mod F, on list rows, with deg F below
+    and above p so rows come from both the shift and the product, for a
+    monic and a non-monic F."""
     K = GF(p, m)
     rng = random.Random(200 * p + m)
-    for n in sorted({3, p + 2} if m < 10 else {3}):
-        F = list(rand_poly(rng, K.q, n - 1)) + [1]
-        rows = _frob_map(K, F)
-        for h in ((0, 1), rand_poly(rng, K.q, n - 1)):
-            got = list(h)
-            for _ in range(m):
-                got = _frob_step(K, got, F, rows, F)
-            assert tuple(got) == oracles.frobenius_power_mod(h, tuple(F), p, m), (n, h)
+    for n in sorted({3, p + 2} if m < 6 else {3}):
+        for F in (list(rand_poly(rng, K.q, n - 1)) + [1], list(rand_poly(rng, K.q, n))):
+            rows = _frob_map(K, F)
+            for h in ((0, 1), rand_poly(rng, K.q, n - 1)):
+                got = list(h)
+                for _ in range(m):
+                    got = _frob_step(K, got, F, rows, F)
+                assert tuple(got) == oracles.frobenius_power_mod(h, tuple(F), p, m), (n, h)
 
 
 def test_untabulated_odd_extension_takes_the_generic_loop(count_calls):
@@ -431,13 +519,13 @@ def pair_counts(la, lb):
     return [min(k + 1, la, lb, la + lb - 1 - k) for k in range(la + lb - 1)]
 
 
-@pytest.mark.parametrize("p,m", DIGIT_FIELDS)
+@pytest.mark.parametrize("p,m", ODD_EXT_FIELDS)
 def test_digit_slots_hold_the_largest_sums(p, m):
-    """Terms whose every digit is p - 1, hundreds to a slot, in a product, a
-    division and a Frobenius step; then one slot filled to its 32-bit
-    capacity.  A sum must never carry into the next digit."""
+    """Terms whose every digit is p - 1, hundreds to a coefficient, in a
+    product, a division and a Frobenius step; then, on digit sums, one slot
+    filled to its 32-bit capacity.  A sum must never carry into the next
+    digit."""
     K = GF(p, m)
-    L, D, back = _digit_tables(K)
     full, ones, n = digits_all(-1, p, m), digits_all(1, p, m), 299
     assert _mul(K, [full] * n, [1] * n) == [digits_all(-c, p, m) for c in pair_counts(n, n)]
     # quotient ones over a divisor of ones: every row subtracts ones, adding full
@@ -445,17 +533,19 @@ def test_digit_slots_hold_the_largest_sums(p, m):
     assert _divmod(K, a, [1] * (n + 1)) == ([ones] * n, [])
     F = [0] * n + [1]  # n = 13 * 23, so n rows of full sum to a nonzero
     assert _frob_step(K, [1] * n, F, [[full] * n] * n, F) == [digits_all(-n, p, m)] * n
-    k = (2**32 - 1) // (p - 1)
-    assert back(k * D[L[full]]) == digits_all(-k, p, m)
+    if K.q > 256:
+        L, D, back = _digit_tables(K)
+        k = (2**32 - 1) // (p - 1)
+        assert back(k * D[L[full]]) == digits_all(-k, p, m)
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 5), (3, 6)])
 def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
-    """GF(p): _gcd, _mul, _add, _sub and _shift.  GF(p**2): _mul, _divmod and m
-    Frobenius steps on a fresh map, of degree above p (rows by shifts) and
-    below it (row 1 by a power).  The digit tables are built first."""
+    """_gcd, _mul, _divmod, _monic and _derivative, and for m > 1 m Frobenius
+    steps on a fresh map, of degree above p (rows by shifts) and below it
+    (row 1 by a power); over GF(p) and the addition tables of GF(9), GF(25)
+    and GF(3**5) also _add, _sub and _shift.  GF(3**6) runs on digit sums."""
     K = GF(p, m)
-    _digit_tables(K)
     rng = random.Random(300 + 10 * p + m)
     a, b = rand_poly(rng, K.q, 40), rand_poly(rng, K.q, 17)
 
@@ -463,12 +553,15 @@ def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
         rows, h = _frob_map(K, F), _divmod(K, a, F)[1]
         return [h := _frob_step(K, h, F, rows, F) for _ in range(K.m)]
 
-    if m == 1:
-        kernels = (_gcd, _mul, _add, _sub, lambda K, a, b: _shift(K, a, b[-1]))
-        pairs = [(a, b), (b, a), (oracles.pf_mul(a, b, p), b)]
-    else:
-        kernels = (_mul, _divmod, steps)
-        pairs = [(a, b), (a, b[:-1] + (1,)), (a, (1, 0, 1))]
+    kernels = [
+        _gcd, _mul, _divmod,
+        lambda K, a, b: (_monic(K, a), _monic(K, b), _derivative(K, a)),
+    ]
+    if K.q <= 256:  # on digit sums _add, _sub and _shift call add_raw
+        kernels += [_add, _sub, lambda K, a, b: _shift(K, a, b[-1])]
+    pairs = [(a, b), (b, a), (_mul(K, a, b), b), (a, b[:-1] + (1,)), (a, (1, 0, 1)), (a, b[-1:])]
+    if m > 1:
+        kernels.append(steps)
     want = [f(K, x, y) for f in kernels for x, y in pairs]
 
     def forbidden(*args):
