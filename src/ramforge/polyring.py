@@ -22,15 +22,17 @@ The raw kernels _add, _sub, _mul and _divmod choose their loop once per
 call, from the field.  In characteristic 2 addition is XOR, and GF(2) and
 the tabulated GF(2**m) multiply and divide in the log domain (_mul2,
 _divmod2), as does the Taylor shift _shift.  Over GF(p), p odd, the
-kernels, _shift, _gcd's one Euclid loop and the packed Frobenius rows are
-int arithmetic, reduced mod p only where a value is read (_shift at every
-term); for p < deg F a packed row is the row before shifted up, plus p
-multiply-adds by fixed tail rows (_frob_row).  An odd GF(p**m) with q <= 256
-keeps plain encodings: a term reads exp at log x + log y, a sum the field's
-addition table (_add_tables).  Past q = 256 a tabulated one adds GF(p)-digit
-vectors as ints, read back once per coefficient (_digit_tables); _monic and
-_derivative read exp and log on both.  Field.add_raw and mul_raw are left to
-the untabulated GF(p**m), and to _add and _shift over digit sums.  Every power,
+kernels, _shift and the packed Frobenius rows are int arithmetic, reduced
+mod p only where a value is read (_shift at every term); for p < deg F a
+packed row is the row before shifted up, plus p multiply-adds by fixed tail
+rows (_frob_row).  Euclid runs on byte slots for p <= 13, a quotient row one
+bigint multiply-add (_gcd_bytes), and on int lists past it (_gcd_loop).  An
+odd GF(p**m) with q <= 256 keeps plain encodings: a term reads exp at log x
++ log y, a sum the field's addition table (_add_tables).  Past q = 256 a
+tabulated one adds GF(p)-digit vectors as ints, read back once per
+coefficient (_digit_tables); _monic and _derivative read exp and log on
+both.  Field.add_raw and mul_raw are left to the untabulated GF(p**m), and
+to _shift over digit sums.  Every power,
 plain or mod f, is one _power: the bit_length(e) - 1 squarings through _mul
 and popcount(e) - 1 products by the base, none past the result.  Every
 caller inherits the choice: gcds, Frobenius and modular powers, the
@@ -164,19 +166,24 @@ def _digit_tables(K):
 
 
 def _add(K, a, b):
-    """a + b: XOR in characteristic 2, int sums mod p over GF(p), table reads."""
+    """a + b: XOR in characteristic 2, int sums mod p over GF(p), else tables."""
     if len(a) < len(b):
         a, b = b, a
     if K.m == 1 and K.p > 2:
         return _trim([*map(K.p.__rmod__, map(add, a, b)), *a[len(b):]])
     if K._add:
         return _trim([*map(getitem, map(K._add.__getitem__, a), b), *a[len(b):]])
+    if K.p > 2 and (digits := _digit_tables(K)):  # read back once per coefficient
+        (L, D, back), out = digits, list(a)
+        for j, y in enumerate(b):
+            out[j] = back(D[L[out[j]]] + D[L[y]])
+        return _trim(out)
     return _trim([*map(xor if K.p == 2 else K.add_raw, a, b), *a[len(b):]])
 
 
 def _sub(K, a, b):
     p = K.p
-    if K._add:  # -y = (p - 1) * y
+    if p > 2 and K.m > 1 and K._exp:  # -y = (p - 1) * y, by table or digit sums
         return _add(K, a, _mul(K, b, [p - 1]))
     nb = b if p == 2 else [-y % p for y in b] if K.m == 1 else [*map(K.neg_raw, b)]
     return _add(K, a, nb)
@@ -303,15 +310,19 @@ def _monic(K, a):
 
 
 def _gcd(K, a, b):
-    """The monic gcd.  Over GF(p), p odd, one Euclid loop on int lists: each
-    divisor is negated and made monic once, a row is int multiply-adds, and
-    % p is read only on row tops and on a remainder's top, until nonzero."""
+    """The monic gcd: over GF(p), p odd, by _gcd_bytes or _gcd_loop, else by _mod."""
+    if K.m == 1 and K.p > 2:
+        return (_gcd_bytes if K.p in _BYTE_TABLES else _gcd_loop)(K.p, a, b)
     a, b = list(a), list(b)
-    if K.m > 1 or K.p == 2:
-        while b:
-            a, b = b, _mod(K, a, b)
-        return _monic(K, a)[0]
-    p = K.p
+    while b:
+        a, b = b, _mod(K, a, b)
+    return _monic(K, a)[0]
+
+
+def _gcd_loop(p, a, b):
+    """The monic gcd over GF(p) by Euclid on int lists: a row adds int products
+    by the negated monic divisor, % p read only on row tops and remainders."""
+    a, b = list(a), list(b)
     while b:
         inv = p - pow(b[-1], -1, p)
         nb, db = [y * inv % p for y in b[:-1]], len(b) - 1
@@ -325,6 +336,35 @@ def _gcd(K, a, b):
             a.pop()
         a, b = b, a
     inv = pow(a[-1], -1, p) if a else 0
+    return [x * inv % p for x in a]
+
+
+# p -> (byte v -> v % p, v -> 1/v mod p for v < p), for (p - 1)*p + p - 1 <= 255
+_BYTE_TABLES = {p: (bytes(v % p for v in range(256)), [0, *(pow(v, -1, p) for v in range(1, p))])
+                for p in (3, 5, 7, 11, 13)}
+
+
+def _gcd_bytes(p, a, b):
+    """The monic gcd over GF(p), p <= 13, by Euclid on byte slots: coefficient i
+    is byte i of an int.  A quotient row is A += (c / lead % p) * nb << 8*k, for
+    nb = p*0x0101...01 - (B's low part), and adds at most (p - 1)*p to a slot.
+    So no slot carries (A keeps its la bytes) if they are reduced, by a table,
+    every (256 - p) // ((p - 1)*p) rows (42 over GF(3), 1 over GF(13))."""
+    (table, inverse), budget = _BYTE_TABLES[p], (256 - p) // ((p - 1) * p)
+    A, B = int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little")
+    while B:
+        la, db = -(-A.bit_length() // 8), (B.bit_length() - 1) >> 3
+        low = (1 << 8 * db) - 1
+        inv, nb, rows = inverse[B >> 8 * db], low // 255 * p - (B & low), 0
+        for k in range(la - 1 - db, -1, -1):
+            if c := (A >> 8 * (k + db) & 255) % p:
+                if rows == budget:
+                    A, rows = int.from_bytes(A.to_bytes(la, "little").translate(table), "little"), 0
+                A += c * inv % p * nb << 8 * k
+                rows += 1
+        A, B = B, int.from_bytes((A & low).to_bytes(db, "little").translate(table), "little")
+    a = A.to_bytes(-(-A.bit_length() // 8), "little")
+    inv = inverse[a[-1]] if a else 0
     return [x * inv % p for x in a]
 
 

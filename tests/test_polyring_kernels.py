@@ -15,8 +15,13 @@ tail rows x**(deg F + k) mod F.  Division and gcd are checked against
 `pf_mod` and sympy, every row of a map against `pf_mod` of x**(p*i) and
 against the slot bound, Frobenius steps against `frobenius_power_mod` on
 both sides of every slot-width boundary, and the packed step on the largest
-sums its slots must hold.  The gcd is one Euclid loop, checked against a
-`pf_mod` Euclid and sympy's `gf_gcd` up to degree 400.
+sums its slots must hold.  The gcd runs Euclid on byte slots of one int
+for p <= 13, reducing the slots with a table before a row could carry one
+past 255, and one Euclid loop on int lists past it.  Both are checked
+against a `pf_mod` Euclid and sympy's `gf_gcd` up to degree 400, on every
+coefficient p - 1 and on quotients of more rows than one reduction allows,
+and the distinct-degree split block by block against a reference on
+`pf_gcd`, `pf_mod` and `frobenius_power_mod`.
 
 Odd tabulated GF(p**m): up to q = 256 (q**2 <= TABLE_LIMIT) every kernel
 adds through the field's addition table, checked against `ext_add` on every
@@ -41,6 +46,7 @@ from ramforge.polyring import (
     _add_tables,
     _derivative,
     _digit_tables,
+    _ddf,
     _divmod,
     _frob_map,
     _frob_row,
@@ -297,9 +303,9 @@ def test_packed_step_holds_the_largest_sums(p, n):
 
 
 # ---------------------------------------------------------------------------
-# odd prime fields: _gcd's one Euclid loop, with % p deferred to row tops
+# odd prime fields: _gcd on byte slots for p <= 13, one Euclid loop past it
 
-EUCLID_PRIMES = ODD_PRIMES + [11, 13]
+EUCLID_PRIMES = ODD_PRIMES + [11, 13, 17]
 
 
 def pf_gcd(a, b, p):
@@ -313,20 +319,32 @@ def pf_gcd(a, b, p):
 
 def euclid_pairs(rng, p):
     """Zero and constant operands, equal degrees, len(a) < len(b), shared
-    factors and non-monic leads, from degree 0 to 400."""
+    factors and non-monic leads, from degree 0 to 400; every coefficient
+    p - 1; and quotients of 350 to 399 rows, more than one reduction of the
+    byte slots allows (42 rows over GF(3), 1 over GF(13)).  Over x**db + 1
+    with a quotient of all p - 1 each row adds the most a slot can take,
+    (p - 1) * p, to db - 1 slots, so one row past the budget carries."""
 
     def r(d):  # a random lead: most divisors are not monic
         return rand_poly(rng, p, d)
 
+    def full(d):
+        return (p - 1,) * (d + 1)
+
     c = r(0)
     pairs = [((), ()), ((), r(5)), (r(7), ()), (c, r(9)), (r(9), c), (c, r(0))]
     pairs += [(r(d), r(d)) for d in (1, 2, 12, 40)]
-    pairs += [(r(3), r(30)), (r(0), r(400)), (r(399), r(400))]
+    pairs += [(r(3), r(30)), (r(0), r(400)), (r(399), r(400)), (r(400), r(1)), (r(400), r(3))]
+    pairs += [(full(400), full(1)), (full(400), full(3)), (full(120), full(119))]
     for dg, du, dv in ((1, 0, 0), (3, 5, 5), (8, 20, 7), (60, 40, 90), (150, 250, 240)):
         g = r(dg)
         pairs.append((oracles.pf_mul(g, r(du), p), oracles.pf_mul(g, r(dv), p)))
     g = r(5)  # one operand divides the other
     pairs.append((oracles.pf_mul(g, r(20), p), g))
+    pairs.append((oracles.pf_mul(full(5), full(40), p), oracles.pf_mul(full(5), full(30), p)))
+    for db in (3, 50):  # x**db + 1 divides a: the gcd is x**db + 1
+        b = (1,) + (0,) * (db - 1) + (1,)
+        pairs.append((oracles.pf_mul(full(400 - db), b, p), b))
     return pairs
 
 
@@ -361,6 +379,77 @@ def test_gfp_euclid_reduces_the_remainder_it_returns():
         assert (la, lb) == (list(a), list(b))
         assert got[-1] == 1 and all(0 <= x < p for x in got)
         assert len(got) - 1 >= len(g) - 1
+
+
+def pf_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
+    return oracles.pf_trim((x - y) % p for x, y in zip(a, b))
+
+
+def pf_exact_quotient(a, b, p):
+    """a / b for b | a, by long division; the remainder is checked by pf_mod."""
+    assert oracles.pf_mod(a, b, p) == ()
+    a, q, inv = list(a), [0] * (len(a) - len(b) + 1), pow(b[-1], -1, p)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1] * inv % p
+        for i, y in enumerate(b):
+            a[k + i] = (a[k + i] - c * y) % p
+    return tuple(q)
+
+
+def ddf_reference(f, p):
+    """The (product, d) stream of the distinct-degree split of a monic
+    squarefree f: h = x**(p**d) mod F by square and multiply, the block
+    gcd(h - x, f) by `pf_gcd`, every block yielded, trivial or not, and f
+    divided by each nontrivial one; the rest, once deg f < 2(d + 1)."""
+    F, h, d, out = f, (0, 1), 0, []
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = oracles.frobenius_power_mod(h, F, p, 1)
+        g = pf_gcd(pf_sub(h, (0, 1), p), f, p)
+        out.append((g, d))
+        if len(g) > 1:
+            f = pf_exact_quotient(f, g, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def squarefree_inputs(rng, p):
+    """Monic squarefree polynomials of degree 2 to 40: single random ones and
+    products of several, so that blocks of one degree hold many factors."""
+    out = []
+    while len(out) < 12:
+        parts = [rand_poly(rng, p, rng.randint(1, 8)) for _ in range(1 + len(out) % 4 * 2)]
+        f = (1,)
+        for part in parts:
+            f = oracles.pf_mul(f, part, p)
+        if len(f) - 1 > 40:
+            continue
+        f = tuple(x * pow(f[-1], -1, p) % p for x in f)
+        df = oracles.pf_trim(k * c % p for k, c in enumerate(f))[1:]
+        if len(f) > 2 and df and pf_gcd(f, df, p) == (1,):
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17])
+def test_ddf_stream_matches_the_reference_step_by_step(p):
+    """_ddf's (product, d) stream on seeded squarefree inputs equals
+    ddf_reference's, block by block: trivial blocks, blocks after a division
+    and the closing rest count too."""
+    K = GF(p)
+    rng = random.Random(40 * p + 1)
+    trivial = after_division = 0
+    for f in squarefree_inputs(rng, p):
+        got = [(tuple(g), d) for g, d in _ddf(K, list(f))]
+        want = ddf_reference(f, p)
+        assert got == want, (p, f)
+        blocks = [len(g) > 1 for g, _ in want]
+        trivial += blocks.count(False)
+        after_division += any(blocks[i] and any(blocks[:i]) for i in range(len(blocks)))
+    assert trivial and after_division, (trivial, after_division)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +630,10 @@ def test_digit_slots_hold_the_largest_sums(p, m):
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 5), (3, 6)])
 def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
-    """_gcd, _mul, _divmod, _monic and _derivative, and for m > 1 m Frobenius
-    steps on a fresh map, of degree above p (rows by shifts) and below it
-    (row 1 by a power); over GF(p) and the addition tables of GF(9), GF(25)
-    and GF(3**5) also _add, _sub and _shift.  GF(3**6) runs on digit sums."""
+    """_gcd, _mul, _divmod, _add, _sub, _monic and _derivative, and for m > 1
+    m Frobenius steps on a fresh map, of degree above p (rows by shifts) and
+    below it (row 1 by a power); over GF(p) and the addition tables of GF(9),
+    GF(25) and GF(3**5) also _shift.  GF(3**6) runs on digit sums."""
     K = GF(p, m)
     rng = random.Random(300 + 10 * p + m)
     a, b = rand_poly(rng, K.q, 40), rand_poly(rng, K.q, 17)
@@ -554,11 +643,11 @@ def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
         return [h := _frob_step(K, h, F, rows, F) for _ in range(K.m)]
 
     kernels = [
-        _gcd, _mul, _divmod,
+        _gcd, _mul, _divmod, _add, _sub,
         lambda K, a, b: (_monic(K, a), _monic(K, b), _derivative(K, a)),
     ]
-    if K.q <= 256:  # on digit sums _add, _sub and _shift call add_raw
-        kernels += [_add, _sub, lambda K, a, b: _shift(K, a, b[-1])]
+    if K.q <= 256:  # on digit sums _shift calls add_raw
+        kernels.append(lambda K, a, b: _shift(K, a, b[-1]))
     pairs = [(a, b), (b, a), (_mul(K, a, b), b), (a, b[:-1] + (1,)), (a, (1, 0, 1)), (a, b[-1:])]
     if m > 1:
         kernels.append(steps)

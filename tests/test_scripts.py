@@ -11,9 +11,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = str(pathlib.Path(ramforge.__file__).parents[1])
 
 
-def run_script(name):
+def run_script(name, *args):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
@@ -43,3 +43,11 @@ def test_tower_demo_script():
         "f_beta_separable",
     ]
     assert all(line.split(": ", 1)[1].startswith("ok (") for line in cert)
+
+
+def test_kernel_timings_script():
+    lines = run_script("kernel_timings.py", "--degrees", "2,40", "--repeat", "1", "--number", "2")
+    rows = [line.split() for line in lines[2:-1]]
+    assert [row[:2] for row in rows] == [[p, n] for p in ("3", "5", "13", "17") for n in ("2", "40")]
+    assert all((row[2] == "-") == (row[0] == "17") for row in rows)
+    assert lines[-1] == "  both paths returned the same gcd on every pair"
