@@ -2,7 +2,8 @@
 """Time the two GF(p) gcd paths of ramforge.polyring, side by side.
 
 `_gcd` runs Euclid on byte slots of one int for p <= 13 (`_gcd_bytes`)
-and one loop on int lists past it (`_gcd_loop`).  This script times both
+and, past it, Euclid on `_mod` steps and one `_monic`, as over every other
+field (the "loop" column, `mod_euclid` below).  This script times both
 paths on the same pairs (seed 25), a of degree n and b of degree n - 1 with
 random (mostly non-monic) leads, so the full remainder sequence runs.  Each
 figure is the best of --repeat runs of --number calls, the two paths taking
@@ -18,8 +19,10 @@ import argparse
 import dataclasses
 import random
 import time
+from functools import partial
 
-from ramforge.polyring import _BYTE_TABLES, _gcd_bytes, _gcd_loop
+from ramforge import GF
+from ramforge.polyring import _BYTE_TABLES, _gcd_bytes, _mod, _monic
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,11 +36,19 @@ def rand_poly(rng, p, deg):
     return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
 
 
-def time_us(path, p, a, b, number):
-    """Microseconds per call over `number` calls of path(p, a, b)."""
+def mod_euclid(K, a, b):
+    """The monic gcd by Euclid on _mod, the path _gcd takes for p >= 17."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _mod(K, a, b)
+    return _monic(K, a)[0]
+
+
+def time_us(path, a, b, number):
+    """Microseconds per call over `number` calls of path(a, b)."""
     t0 = time.perf_counter()
     for _ in range(number):
-        path(p, a, b)
+        path(a, b)
     return (time.perf_counter() - t0) / number * 1e6
 
 
@@ -47,19 +58,21 @@ def run(cfg):
     print(f"_gcd per call in us, best of {cfg.repeat}, seed {seed}")
     print(f"{'p':>3} {'deg':>4} {'bytes':>9} {'loop':>9} {'loop/bytes':>10}")
     for p in (3, 5, 13, 17):  # both sides of the byte bound p <= 13
-        paths = [_gcd_bytes, _gcd_loop] if p in _BYTE_TABLES else [_gcd_loop]
+        paths = {"loop": partial(mod_euclid, GF(p))}
+        if p in _BYTE_TABLES:
+            paths["bytes"] = partial(_gcd_bytes, p)
         for n in cfg.degrees:
             a, b = rand_poly(rng, p, n), rand_poly(rng, p, n - 1)
-            want = _gcd_loop(p, a, b)
-            assert all(path(p, a, b) == want for path in paths), (p, n)
-            number = cfg.number or max(1, int(2e4 / time_us(_gcd_loop, p, a, b, 1)))
+            want = paths["loop"](a, b)
+            assert all(path(a, b) == want for path in paths.values()), (p, n)
+            number = cfg.number or max(1, int(2e4 / time_us(paths["loop"], a, b, 1)))
             times = dict.fromkeys(paths, float("inf"))
             for _ in range(cfg.repeat):  # the paths take turns
-                for path in paths:
-                    times[path] = min(times[path], time_us(path, p, a, b, number))
-            loop = times[_gcd_loop]
-            if _gcd_bytes in times:
-                fast = times[_gcd_bytes]
+                for name, path in paths.items():
+                    times[name] = min(times[name], time_us(path, a, b, number))
+            loop = times["loop"]
+            if "bytes" in times:
+                fast = times["bytes"]
                 print(f"{p:>3} {n:>4} {fast:>9.1f} {loop:>9.1f} {loop / fast:>10.2f}")
             else:
                 print(f"{p:>3} {n:>4} {'-':>9} {loop:>9.1f} {'-':>10}")

@@ -86,7 +86,6 @@ class Field:
         self._log = None
         self._add = None  # odd p, q**2 <= TABLE_LIMIT: _add[x][y] encodes x + y
         self._sums = None  # polyring._add_tables, built on first use
-        self._digits = None  # polyring._digit_tables, built on first use
         if m > 1:
             from .polyring import irreducible_poly
 

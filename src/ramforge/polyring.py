@@ -26,18 +26,17 @@ kernels, _shift and the packed Frobenius rows are int arithmetic, reduced
 mod p only where a value is read (_shift at every term); for p < deg F a
 packed row is the row before shifted up, plus p multiply-adds by fixed tail
 rows (_frob_row).  Euclid runs on byte slots for p <= 13, a quotient row one
-bigint multiply-add (_gcd_bytes), and on int lists past it (_gcd_loop).  An
-odd GF(p**m) with q <= 256 keeps plain encodings: a term reads exp at log x
-+ log y, a sum the field's addition table (_add_tables).  Past q = 256 a
-tabulated one adds GF(p)-digit vectors as ints, read back once per
-coefficient (_digit_tables); _monic and _derivative read exp and log on
-both.  Field.add_raw and mul_raw are left to the untabulated GF(p**m), and
-to _shift over digit sums.  Every power,
-plain or mod f, is one _power: the bit_length(e) - 1 squarings through _mul
-and popcount(e) - 1 products by the base, none past the result.  Every
-caller inherits the choice: gcds, Frobenius and modular powers, the
-equal-degree split, the Polynomial operators and the Laurent expansions of
-funcfield, each one Taylor shift and one long division.
+bigint multiply-add (_gcd_bytes); past it, as over every other field, it is
+_mod steps and one _monic.  An odd GF(p**m) with q <= 256 keeps plain
+encodings: a term reads exp at log x + log y, a sum the field's addition
+table (_add_tables).  Past q = 256 the kernels call Field.add_raw and
+mul_raw, as over the untabulated GF(p**m); _monic and _derivative read exp
+and log where the field has them.  Every power, plain or mod f, is one
+_power: the bit_length(e) - 1 squarings through _mul and popcount(e) - 1
+products by the base, none past the result.  Every caller inherits the
+choice: gcds, Frobenius and modular powers, the equal-degree split, the
+Polynomial operators and the Laurent expansions of funcfield, each one
+Taylor shift and one long division.
 """
 
 from array import array
@@ -138,33 +137,6 @@ def _add_tables(K):
     return K._sums
 
 
-def _digit_tables(K):
-    """(L, D, back) of a tabulated GF(p**m), m >= 2; None for other fields.
-    The kernels read them past q = 256 only; up to it they use _add_tables.
-
-    D[l] holds the GF(p) digits of g**l in 32-bit slots, so elements add as
-    ints: each digit is below p < 2**8 (p**2 <= TABLE_LIMIT = 2**16), and a
-    sum of deg + 1 terms stays below 2**24 for deg <= MAX_COVER_DEGREE.  L is
-    the log with L[0] = 2(q-1), from where D is 0: D[L[x] + L[y]] holds the
-    digits of x*y.  back(s) is the encoding of a sum s, by m reductions mod p.
-    """
-    if K._digits is None and K._exp is not None:  # built on first use
-        p, n, shifts = K.p, K.q - 1, range(32 * (K.m - 1), -1, -32)
-
-        def back(s):
-            v = 0
-            for sh in shifts:
-                v = v * p + (s >> sh & 0xFFFFFFFF) % p
-            return v
-
-        S = [0]  # S[v]: the digits of the encoding v, digit j in slot j
-        for j in range(K.m):
-            S = [s + (c << 32 * j) for c in range(p) for s in S]
-        D = [S[v] for v in K._exp]
-        K._digits = [2 * n, *K._log[1:]], D * 2 + [0] * (2 * n + 1), back
-    return K._digits
-
-
 def _add(K, a, b):
     """a + b: XOR in characteristic 2, int sums mod p over GF(p), else tables."""
     if len(a) < len(b):
@@ -173,25 +145,20 @@ def _add(K, a, b):
         return _trim([*map(K.p.__rmod__, map(add, a, b)), *a[len(b):]])
     if K._add:
         return _trim([*map(getitem, map(K._add.__getitem__, a), b), *a[len(b):]])
-    if K.p > 2 and (digits := _digit_tables(K)):  # read back once per coefficient
-        (L, D, back), out = digits, list(a)
-        for j, y in enumerate(b):
-            out[j] = back(D[L[out[j]]] + D[L[y]])
-        return _trim(out)
     return _trim([*map(xor if K.p == 2 else K.add_raw, a, b), *a[len(b):]])
 
 
 def _sub(K, a, b):
     p = K.p
-    if p > 2 and K.m > 1 and K._exp:  # -y = (p - 1) * y, by table or digit sums
+    if K._add:  # -y = (p - 1) * y, on the addition table
         return _add(K, a, _mul(K, b, [p - 1]))
     nb = b if p == 2 else [-y % p for y in b] if K.m == 1 else [*map(K.neg_raw, b)]
     return _add(K, a, nb)
 
 
 def _mul(K, a, b):
-    """a*b; over GF(p), p odd, or on digit sums (_digit_tables) each coefficient
-    is reduced once, after all its terms; on an addition table, two reads."""
+    """a*b; over GF(p), p odd, each coefficient is reduced once, after all its
+    terms; on an addition table (_add_tables) a term is two reads."""
     if not a or not b:
         return []
     tables = _log_tables(K)
@@ -214,15 +181,6 @@ def _mul(K, a, b):
                 for j, ly in enumerate(lb, i):
                     out[j] = ADD[out[j]][E[lx + ly]]
         return _trim(out)
-    if digits := _digit_tables(K):
-        L, D, back = digits
-        lb = [L[y] for y in b]
-        for i, x in enumerate(a):
-            if x:
-                lx = L[x]
-                for j, ly in enumerate(lb, i):
-                    out[j] += D[lx + ly]
-        return _trim([back(v) for v in out])
     mul, add = K.mul_raw, K.add_raw
     for i, x in enumerate(a):
         if x:
@@ -234,8 +192,8 @@ def _mul(K, a, b):
 
 def _divmod(K, a, b):
     """Long division.  A row is a loop of int multiply-adds by the negated
-    divisor over GF(p), p odd, of table reads (_add_tables) or of digit sums
-    (_digit_tables); GF(p) and digit sums reduce row tops and the remainder."""
+    divisor over GF(p), p odd, reduced at row tops and in the remainder, or
+    of table reads (_add_tables)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     tables = _log_tables(K)
@@ -264,18 +222,6 @@ def _divmod(K, a, b):
                 for j, ly in enumerate(nb, k):
                     a[j] = ADD[a[j]][E[lc + ly]]
         return _trim(q), _trim(a[:db])
-    if digits := _digit_tables(K):
-        (L, D, back), n, exp = digits, K.q - 1, K._exp
-        a, lb, linv = [D[L[x]] for x in a], [L[y] for y in b[:-1]], n - L[b[-1]]
-        for k in range(len(q) - 1, -1, -1):
-            c = back(a[k + db])
-            if c:
-                lc = (L[c] + linv) % n
-                q[k] = exp[lc]
-                lc = (lc + n // 2) % n  # -1 = g**((q-1)/2): the row subtracts
-                for j, ly in enumerate(lb, k):
-                    a[j] += D[lc + ly]
-        return _trim(q), _trim([back(v) for v in a[:db]])
     inv = K.inv_raw(b[-1])
     for k in range(len(q) - 1, -1, -1):
         if a[k + db]:
@@ -310,33 +256,13 @@ def _monic(K, a):
 
 
 def _gcd(K, a, b):
-    """The monic gcd: over GF(p), p odd, by _gcd_bytes or _gcd_loop, else by _mod."""
-    if K.m == 1 and K.p > 2:
-        return (_gcd_bytes if K.p in _BYTE_TABLES else _gcd_loop)(K.p, a, b)
+    """The monic gcd: over GF(p), p <= 13, by _gcd_bytes, else by Euclid on _mod."""
+    if K.m == 1 and K.p in _BYTE_TABLES:
+        return _gcd_bytes(K.p, a, b)
     a, b = list(a), list(b)
     while b:
         a, b = b, _mod(K, a, b)
     return _monic(K, a)[0]
-
-
-def _gcd_loop(p, a, b):
-    """The monic gcd over GF(p) by Euclid on int lists: a row adds int products
-    by the negated monic divisor, % p read only on row tops and remainders."""
-    a, b = list(a), list(b)
-    while b:
-        inv = p - pow(b[-1], -1, p)
-        nb, db = [y * inv % p for y in b[:-1]], len(b) - 1
-        for k in range(len(a) - 1 - db, -1, -1):
-            c = a[k + db] % p
-            if c:
-                for j, y in enumerate(nb, k):
-                    a[j] += c * y
-        del a[db:]
-        while a and not a[-1] % p:
-            a.pop()
-        a, b = b, a
-    inv = pow(a[-1], -1, p) if a else 0
-    return [x * inv % p for x in a]
 
 
 # p -> (byte v -> v % p, v -> 1/v mod p for v < p), for (p - 1)*p + p - 1 <= 255
@@ -510,7 +436,7 @@ def _frob_step(K, h, f, rows, F):
     rows to deg h, so a caller that stops early builds only what it reads.
     Over GF(p), p odd, phi is the identity and each row one int of packed
     slots (_slot_width), so a step is deg F bigint multiply-adds and one
-    unpacking mod p; GF(p**m) keeps list rows, summed by table or digit sums.
+    unpacking mod p; GF(p**m) keeps list rows, summed by table or field call.
     In characteristic 2, p - 1 = 1: the rows would only add their cost, so
     h is spread over x**2 and reduced mod f.
     """
@@ -532,14 +458,6 @@ def _frob_step(K, h, f, rows, F):
                 for j, r in enumerate(row):
                     out[j] = ADD[out[j]][E[lc + L[r]]]
         return _trim(out)
-    if digits := _digit_tables(K):
-        L, D, back = digits
-        for c, row in zip(h, rows):
-            if c:
-                lc = L[c] * p % (K.q - 1)  # phi multiplies a log by p
-                for j, r in enumerate(row):
-                    out[j] += D[lc + L[r]]
-        return _trim([back(v) for v in out])
     mul_raw, add = K.mul_raw, K.add_raw
     for c, row in zip(h, rows):
         if c:

@@ -487,6 +487,25 @@ def test_table_field_factor_lists_match_the_frozen_digest():
     assert (count, h.hexdigest()) == (170, TABLE_FACTOR_DIGEST)
 
 
+# 180 inputs past the addition-table gate, GF(3**6), GF(5**4) and GF(17**2),
+# and over GF(17) and GF(101), where Euclid runs _mod steps; about 1 s
+PAST_GATE_DIGEST_CORPUS = [
+    (3, 6, 40, 30), (5, 4, 40, 30), (17, 2, 30, 24), (17, 1, 40, 60), (101, 1, 30, 60),
+]
+# SHA-256 of their factor lists, computed while digit sums served the
+# extension fields and a loop on int lists the GF(p) gcds
+PAST_GATE_FACTOR_DIGEST = "68bf128f3fd8b570b1a65fbdaaf1a2cb31e810970e2a3cd291652415981dc807"
+
+
+def test_past_gate_factor_lists_match_the_frozen_digest():
+    h = hashlib.sha256()
+    count = 0
+    for f in _digest_inputs(PAST_GATE_DIGEST_CORPUS, 20181104):
+        h.update(repr([(g.degree, g.encoding(), e) for g, e in factor(f).factors]).encode())
+        count += 1
+    assert (count, h.hexdigest()) == (180, PAST_GATE_FACTOR_DIGEST)
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -17,7 +17,7 @@ against the slot bound, Frobenius steps against `frobenius_power_mod` on
 both sides of every slot-width boundary, and the packed step on the largest
 sums its slots must hold.  The gcd runs Euclid on byte slots of one int
 for p <= 13, reducing the slots with a table before a row could carry one
-past 255, and one Euclid loop on int lists past it.  Both are checked
+past 255, and Euclid on `_divmod` past it.  Both are checked
 against a `pf_mod` Euclid and sympy's `gf_gcd` up to degree 400, on every
 coefficient p - 1 and on quotients of more rows than one reduction allows,
 and the distinct-degree split block by block against a reference on
@@ -25,11 +25,10 @@ and the distinct-degree split block by block against a reference on
 
 Odd tabulated GF(p**m): up to q = 256 (q**2 <= TABLE_LIMIT) every kernel
 adds through the field's addition table, checked against `ext_add` on every
-pair of the nine such fields; past it, products, divisions and Frobenius
-steps add GF(p)-digit vectors in 32-bit slots (`_digit_tables`).  Both are
-checked against the `ext_poly_*` oracles and square and multiply over GF(9)
-to GF(3**10), and on terms whose every digit is p - 1, up to a slot's
-capacity.  GF(3**11), past the table limit, keeps the field-call loops.
+pair of the nine such fields; past it, as in GF(3**11) past the table limit,
+the kernels call Field.add_raw and mul_raw.  Both are checked against the
+`ext_poly_*` oracles and square and multiply over GF(9) to GF(3**10), and on
+terms whose every digit is p - 1, hundreds to a coefficient.
 """
 
 import random
@@ -45,7 +44,6 @@ from ramforge.polyring import (
     _add,
     _add_tables,
     _derivative,
-    _digit_tables,
     _ddf,
     _divmod,
     _frob_map,
@@ -303,7 +301,7 @@ def test_packed_step_holds_the_largest_sums(p, n):
 
 
 # ---------------------------------------------------------------------------
-# odd prime fields: _gcd on byte slots for p <= 13, one Euclid loop past it
+# odd prime fields: _gcd on byte slots for p <= 13, on _divmod past it
 
 EUCLID_PRIMES = ODD_PRIMES + [11, 13, 17]
 
@@ -453,13 +451,13 @@ def test_ddf_stream_matches_the_reference_step_by_step(p):
 
 
 # ---------------------------------------------------------------------------
-# odd tabulated GF(p**m): an addition table up to q = 256, digit sums past it
+# odd tabulated GF(p**m): an addition table up to q = 256, field calls past it
 
 # every odd GF(p**m), m >= 2, with q**2 <= TABLE_LIMIT: one addition table each
 TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (13, 2), (3, 5)]
 # the kernel tests below keep the ids they had as digit-sum tests: GF(9),
 # GF(25), GF(27) and GF(49) now run on addition tables, as GF(3**5), the last
-# field under the gate, does; GF(3**6), GF(5**4) and GF(3**10) on digit sums
+# field under the gate, does; GF(3**6), GF(5**4) and GF(3**10) on field calls
 ODD_EXT_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 5), (3, 6), (5, 4), (3, 10)]
 
 
@@ -473,11 +471,10 @@ def ext_ops(p, m):
 
 
 def assert_tables(K):
-    """Once kernels have run: up to q = 256 they built the addition tables and
-    no digit sums, past it digit sums and no addition table."""
+    """Once kernels have run: up to q = 256 they built the addition tables,
+    past it none."""
     tabled = K.q <= 256
     assert (K._add is not None) == (K._sums is not None) == tabled
-    assert (K._digits is None) == tabled
 
 
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
@@ -495,18 +492,25 @@ def test_addition_tables_match_ext_add(p, m):
         assert K.sub_raw(x, y) == oracles.ext_add(x, oracles.ext_neg(y, p), p)
 
 
-def test_addition_table_gate():
-    """The gate is q**2 <= TABLE_LIMIT: GF(3**5) has an addition table and no
-    digit sums, GF(3**6) and GF(17**2) the reverse.  Characteristic 2, prime
-    fields and untabulated fields have no addition table, and GF(3**11) no
-    digit sums either."""
-    for p, m in TABLE_FIELDS + [(3, 6), (17, 2), (5, 4), (3, 10)]:
-        K = GF(p, m)
-        _divmod(K, _mul(K, [1, 2, 1], [2, 1]), [1, 1])
+def test_addition_table_gate(count_calls):
+    """The gate is q**2 <= TABLE_LIMIT: GF(3**5) has an addition table and
+    its kernels make no field call; GF(3**6) and GF(17**2) have none, and
+    theirs add through Field.add_raw.  Characteristic 2, prime fields and
+    untabulated fields have no addition table."""
+    fields = [GF(p, m) for p, m in TABLE_FIELDS + [(3, 6), (17, 2), (5, 4), (3, 10)]]
+    names = ("add_raw", "sub_raw", "neg_raw", "mul_raw", "inv_raw", "pow_raw")
+    calls = {name: count_calls(name, type(fields[0])) for name in names}
+    for K in fields:
+        for made in calls.values():
+            made.clear()
+        _sub(K, _divmod(K, _mul(K, [1, 2, 1], [2, 1]), [1, 1])[0], [1, 2])
         assert_tables(K)
+        if K.q <= 256:
+            assert not any(calls.values()), K
+        else:
+            assert calls["add_raw"], K
     for K in (GF(3), GF(251), GF(2, 8), GF(3, 11)):
         assert K._add is None and _add_tables(K) is None
-    assert _digit_tables(GF(3, 11)) is None
 
 
 def ext_pairs(rng, q, omul, top):
@@ -532,7 +536,7 @@ def ext_pairs(rng, q, omul, top):
 def test_digit_sum_kernels_match_the_extension_oracle(p, m):
     """_mul, _divmod and _gcd, both ways round, and _add, _sub, _monic,
     _derivative and _shift against the `ext_*` oracles, on addition tables
-    (q <= 256) or digit sums."""
+    (q <= 256) or field calls."""
     K = GF(p, m)
     omul, odivmod, ogcd = ext_ops(p, m)
     modulus = oracles.pf_canonical_modulus(p, m)
@@ -584,10 +588,10 @@ def test_digit_sum_frobenius_steps_match_square_and_multiply(p, m):
 
 
 def test_untabulated_odd_extension_takes_the_generic_loop(count_calls):
-    """GF(3**11) is past TABLE_LIMIT: no digit tables, and its kernels add
+    """GF(3**11) is past TABLE_LIMIT: no exp/log tables, and its kernels add
     through Field.add_raw."""
     K = GF(3, 11)
-    assert K._exp is None and _digit_tables(K) is None
+    assert K._exp is None
     omul, odivmod, _ = ext_ops(3, 11)
     adds = count_calls("add_raw", type(K))
     rng = random.Random(311)
@@ -611,9 +615,8 @@ def pair_counts(la, lb):
 @pytest.mark.parametrize("p,m", ODD_EXT_FIELDS)
 def test_digit_slots_hold_the_largest_sums(p, m):
     """Terms whose every digit is p - 1, hundreds to a coefficient, in a
-    product, a division and a Frobenius step; then, on digit sums, one slot
-    filled to its 32-bit capacity.  A sum must never carry into the next
-    digit."""
+    product, a division and a Frobenius step.  A sum must never carry into
+    the next digit."""
     K = GF(p, m)
     full, ones, n = digits_all(-1, p, m), digits_all(1, p, m), 299
     assert _mul(K, [full] * n, [1] * n) == [digits_all(-c, p, m) for c in pair_counts(n, n)]
@@ -622,18 +625,14 @@ def test_digit_slots_hold_the_largest_sums(p, m):
     assert _divmod(K, a, [1] * (n + 1)) == ([ones] * n, [])
     F = [0] * n + [1]  # n = 13 * 23, so n rows of full sum to a nonzero
     assert _frob_step(K, [1] * n, F, [[full] * n] * n, F) == [digits_all(-n, p, m)] * n
-    if K.q > 256:
-        L, D, back = _digit_tables(K)
-        k = (2**32 - 1) // (p - 1)
-        assert back(k * D[L[full]]) == digits_all(-k, p, m)
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 5), (3, 6)])
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 5)])
 def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
-    """_gcd, _mul, _divmod, _add, _sub, _monic and _derivative, and for m > 1
-    m Frobenius steps on a fresh map, of degree above p (rows by shifts) and
-    below it (row 1 by a power); over GF(p) and the addition tables of GF(9),
-    GF(25) and GF(3**5) also _shift.  GF(3**6) runs on digit sums."""
+    """_gcd, _mul, _divmod, _add, _sub, _monic, _derivative and _shift, and
+    for m > 1 m Frobenius steps on a fresh map, of degree above p (rows by
+    shifts) and below it (row 1 by a power), over GF(p) and the addition
+    tables of GF(9), GF(25) and GF(3**5)."""
     K = GF(p, m)
     rng = random.Random(300 + 10 * p + m)
     a, b = rand_poly(rng, K.q, 40), rand_poly(rng, K.q, 17)
@@ -645,9 +644,8 @@ def test_odd_kernels_make_no_field_calls(monkeypatch, p, m):
     kernels = [
         _gcd, _mul, _divmod, _add, _sub,
         lambda K, a, b: (_monic(K, a), _monic(K, b), _derivative(K, a)),
+        lambda K, a, b: _shift(K, a, b[-1]),
     ]
-    if K.q <= 256:  # on digit sums _shift calls add_raw
-        kernels.append(lambda K, a, b: _shift(K, a, b[-1]))
     pairs = [(a, b), (b, a), (_mul(K, a, b), b), (a, b[:-1] + (1,)), (a, (1, 0, 1)), (a, b[-1:])]
     if m > 1:
         kernels.append(steps)
