@@ -154,18 +154,7 @@ class Field:
         return s
 
     def neg_raw(self, a):
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        if self._add:  # -a = (p - 1) * a, on the exp/log tables
-            return self.mul_raw(a, self.p - 1)
-        s, shift, p = 0, 1, self.p
-        while a:
-            s += ((p - a % p) % p) * shift
-            a //= p
-            shift *= p
-        return s
+        return a if self.p == 2 else self.mul_raw(a, self.p - 1)
 
     def sub_raw(self, a, b):
         return self.add_raw(a, self.neg_raw(b))
@@ -193,8 +182,8 @@ class Field:
             return self.pow_raw(self.inv_raw(a), -e)
         if self.m == 1:
             return pow(a, e, self.p)
-        if a == 0:
-            return 0 if e else 1
+        if a < 2:  # no product for 0 and 1: inv_raw(1) runs once per _shift pass
+            return a if e else 1
         if self._exp is not None:
             return self._exp[self._log[a] * e % (self.q - 1)]
         r = a  # from the top bit of e down, as polyring._power

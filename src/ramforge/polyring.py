@@ -18,22 +18,24 @@ Every Frobenius step is one _frob_step.  In odd characteristic it reads the
 rows x**(p*i) mod F of Berlekamp's Q-matrix, built as the steps reach them,
 for F the input of the distinct-degree split or a part of the equal-degree one.
 
-The raw kernels _add, _sub, _mul and _divmod choose their loop once per
-call, from the field.  In characteristic 2 addition is XOR, and GF(2) and
-the tabulated GF(2**m) multiply and divide in the log domain (_mul2,
-_divmod2), as does the Taylor shift _shift.  Over GF(p), p odd, the
-kernels, _shift and the packed Frobenius rows are int arithmetic, reduced
-mod p only where a value is read (_shift at every term); for p < deg F a
-packed row is the row before shifted up, plus p multiply-adds by fixed tail
-rows (_frob_row).  Euclid runs on byte slots for p <= 13, a quotient row one
-bigint multiply-add (_gcd_bytes); past it, as over every other field, it is
-_mod steps and one _monic.  An odd GF(p**m) with q <= 256 keeps plain
-encodings: a term reads exp at log x + log y, a sum the field's addition
-table (_add_tables).  Past q = 256 the kernels call Field.add_raw and
-mul_raw, as over the untabulated GF(p**m); _monic and _derivative read exp
-and log where the field has them.  Every power, plain or mod f, is one
-_power: the bit_length(e) - 1 squarings through _mul and popcount(e) - 1
-products by the base, none past the result.  Every caller inherits the
+The core kernels _add, _mul and _divmod choose their loop once per call,
+from the field.  In characteristic 2 addition is XOR, and GF(2) and the
+tabulated GF(2**m) multiply and divide in the log domain (_mul2, _divmod2),
+as does their Taylor shift.  Over GF(p), p odd, the kernels and the packed
+Frobenius rows are int arithmetic, reduced mod p only where a value is
+read; for p < deg F a packed row is the row before shifted up, plus p
+multiply-adds by fixed tail rows (_frob_row).  Euclid runs on byte slots
+for p <= 13, a quotient row one bigint multiply-add (_gcd_bytes); past it,
+as over every other field, it is _mod steps and one _monic.  An odd
+GF(p**m) with q <= 256 keeps plain encodings: a term reads exp at log x +
+log y, a sum the field's addition table (_add_tables).  Past q = 256 the
+kernels call Field.add_raw and mul_raw, as over the untabulated GF(p**m);
+_derivative reads exp and log where the field has them.  The rest is one
+expression over the core kernels: _sub adds (p - 1) times b, _monic is one
+_divmod by the lead, negation is 0 - f, and _shift, outside the log domain,
+one _divmod by x - alpha per coefficient.  Every power, plain or mod f, is
+one _power: the bit_length(e) - 1 squarings through _mul and popcount(e) -
+1 products by the base, none past the result.  Every caller inherits the
 choice: gcds, Frobenius and modular powers, the equal-degree split, the
 Polynomial operators and the Laurent expansions of funcfield, each one
 Taylor shift and one long division.
@@ -149,11 +151,8 @@ def _add(K, a, b):
 
 
 def _sub(K, a, b):
-    p = K.p
-    if K._add:  # -y = (p - 1) * y, on the addition table
-        return _add(K, a, _mul(K, b, [p - 1]))
-    nb = b if p == 2 else [-y % p for y in b] if K.m == 1 else [*map(K.neg_raw, b)]
-    return _add(K, a, nb)
+    """a - b = a + (p - 1)*b; the scalar first, so _mul makes one outer pass."""
+    return _add(K, a, b if K.p == 2 else _mul(K, [K.p - 1], b))
 
 
 def _mul(K, a, b):
@@ -191,9 +190,9 @@ def _mul(K, a, b):
 
 
 def _divmod(K, a, b):
-    """Long division.  A row is a loop of int multiply-adds by the negated
-    divisor over GF(p), p odd, reduced at row tops and in the remainder, or
-    of table reads (_add_tables)."""
+    """Long division.  A row adds c times the divisor, negated once per
+    division: int multiply-adds over GF(p), p odd, reduced at row tops and
+    in the remainder, table reads (_add_tables) or field calls."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     tables = _log_tables(K)
@@ -222,14 +221,13 @@ def _divmod(K, a, b):
                 for j, ly in enumerate(nb, k):
                     a[j] = ADD[a[j]][E[lc + ly]]
         return _trim(q), _trim(a[:db])
-    inv = K.inv_raw(b[-1])
+    inv, nb = K.inv_raw(b[-1]), [*map(K.neg_raw, b[:-1])]
     for k in range(len(q) - 1, -1, -1):
-        if a[k + db]:
-            c = q[k] = K.mul_raw(a[k + db], inv)
-            nc = K.neg_raw(c)
-            for i, y in enumerate(b):
+        if c := a[k + db]:
+            c = q[k] = K.mul_raw(c, inv)
+            for j, y in enumerate(nb, k):
                 if y:
-                    a[k + i] = K.add_raw(a[k + i], K.mul_raw(nc, y))
+                    a[j] = K.add_raw(a[j], K.mul_raw(c, y))
     return _trim(q), _trim(a[:db])
 
 
@@ -238,21 +236,10 @@ def _mod(K, a, b):
 
 
 def _monic(K, a):
-    if not a:
-        return [], 1
-    lc = a[-1]
-    if lc == 1:
+    """(a / lc, lc) for lc the lead of a, by one _divmod; ([], 1) for a = 0."""
+    if not a or a[-1] == 1:
         return list(a), 1
-    if K.m == 1:  # a times 1/lc, no field call
-        return _mul(K, a, [pow(lc, -1, K.p)]), lc
-    if K.p > 2 and K._exp:  # times g**-log(lc), on the field's exp/log
-        exp, log, n, out = K._exp, K._log, K.q - 1, []
-        s = n - log[lc]
-        for c in a:
-            out.append(exp[(log[c] + s) % n] if c else 0)
-        return out, lc
-    inv = K.inv_raw(lc)
-    return [K.mul_raw(c, inv) for c in a], lc
+    return _divmod(K, a, [a[-1]])[0], a[-1]
 
 
 def _gcd(K, a, b):
@@ -313,10 +300,11 @@ def _derivative(K, a):
 def _shift(K, a, alpha):
     """a(x + alpha) = sum c_k x**k by the Taylor shift, on raw coefficients.
 
-    Pass k divides c_k + ... + c_n x**(n-k) by x - alpha synthetically
-    (c_j += alpha * c_(j+1), from the top down), leaving the remainder,
-    the k-th Taylor coefficient of a at alpha, in c_k: n(n-1)/2
-    multiply-adds for n coefficients."""
+    c_0 is the remainder of a divided by x - alpha, and c_k that of the
+    k-th quotient: one _divmod per coefficient, n(n-1)/2 rows in all for n
+    coefficients.  In characteristic 2 the log tables, which char2's
+    Laurent expansions read, run the same passes in place (c_j += alpha *
+    c_(j+1), from the top down, leaving c_k)."""
     c = list(a)
     if not alpha:
         return c
@@ -330,26 +318,11 @@ def _shift(K, a, alpha):
             for j in range(n - 2, k - 1, -1):
                 t = c[j] = c[j] ^ exp[log[t] + la] if t else c[j]
         return c
-    if K.m == 1:
-        p = K.p
-        for k in range(n - 1):
-            t = c[-1]
-            for j in range(n - 2, k - 1, -1):
-                t = c[j] = (c[j] + t * alpha) % p
-        return c
-    if tables := _add_tables(K):
-        (ADD, E, L), la = tables, tables[2][alpha]
-        for k in range(n - 1):
-            t = c[-1]
-            for j in range(n - 2, k - 1, -1):
-                t = c[j] = ADD[c[j]][E[L[t] + la]]
-        return c
-    mul, add = K.mul_raw, K.add_raw
-    for k in range(n - 1):
-        t = c[-1]
-        for j in range(n - 2, k - 1, -1):
-            t = c[j] = add(c[j], mul(t, alpha)) if t else c[j]
-    return c
+    out, x_alpha = [], _sub(K, [0, 1], [alpha])
+    for _ in a:
+        c, r = _divmod(K, c, x_alpha)
+        out.append(r[0] if r else 0)
+    return out
 
 
 _SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # slot bytes -> array typecode
@@ -605,8 +578,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        K = self.field
-        return Polynomial._raw(K, [K.neg_raw(c) for c in self._c])
+        return Polynomial._raw(self.field, _sub(self.field, [], self._c))
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -1,8 +1,10 @@
 """Places, divisors, valuations, Laurent data, Riemann-Roch at genus 0."""
 
 import functools
+import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -382,6 +384,40 @@ def test_laurent_matches_field_call_reference(data):
     start, R, raw = oracles.laurent_reference(f, P, prec)
     assert s.coeff_field == R
     assert (s.start, [c.val for c in s.coeffs]) == (start, raw)
+
+
+# (p, m, place degrees, places per degree): the residue fields of every
+# shift path, GF(3**6) and GF(3**12) past the addition-table gate, GF(3**11)
+# and GF(3**18) with no tables, and GF(2**21) at a degree-7 place of GF(8)(x)
+LAURENT_DIGEST_CORPUS = [
+    (3, 1, (1, 2, 3), 3), (5, 1, (1, 2, 3), 3), (3, 2, (1, 2, 3), 3),
+    (3, 6, (1, 2, 3), 1), (3, 1, (11,), 1), (2, 3, (7,), 1),
+]
+# SHA-256 of the expansions below, computed while each residue field had
+# its own Taylor shift loop
+LAURENT_DIGEST = "54a93b2ee3033a8216ca3e615a6bef3b98e20aeb81fbfe98dafbed5e8383da24"
+
+
+def test_laurent_expansions_match_the_frozen_digest():
+    """One SHA-256 over (start, coefficients) of expansions of seeded random
+    functions with poles at the first places of each degree, precision 16."""
+    h = hashlib.sha256()
+    count = 0
+    for p, m, degrees, per_degree in LAURENT_DIGEST_CORPUS:
+        K = GF(p, m)
+        rng = random.Random(1000 * p + m)
+
+        def rand(d):
+            return Polynomial(K, [rng.randrange(K.q) for _ in range(d)] + [rng.randrange(1, K.q)])
+
+        for d in degrees:
+            for g in itertools.islice(irreducibles(K, d), per_degree):
+                P = Place(K, g)
+                f = RationalFunction(rand(20), rand(3) * g ** rng.randint(0, 2))
+                s = laurent_expand(f, P, 16)
+                h.update(repr((p, m, d, s.start, [c.val for c in s.coeffs])).encode())
+                count += 1
+    assert (count, h.hexdigest()) == (32, LAURENT_DIGEST)
 
 
 # ---------------------------------------------------------------------------

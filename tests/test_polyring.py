@@ -614,8 +614,10 @@ def test_roots_frozen():
     assert roots(poly(F2, "T^2+T+1")) == []
 
 
-SHIFT_FIELDS = [F2, F4, GF(2, 3), F3, F5, F9]
-SHIFT_IDS = ["gf2", "gf4", "gf8", "gf3", "gf5", "gf9"]
+# GF(3**6) past the addition-table gate, GF(3**11) and GF(2**17) with no
+# tables, and GF(17) past the byte slots divide by x - alpha through _divmod
+SHIFT_FIELDS = [F2, F4, GF(2, 3), F3, F5, F9, GF(3, 6), GF(3, 11), GF(2, 17), GF(17)]
+SHIFT_IDS = ["gf2", "gf4", "gf8", "gf3", "gf5", "gf9", "gf3_6", "gf3_11", "gf2_17", "gf17"]
 
 
 @pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
@@ -630,14 +632,20 @@ def test_shift_matches_evaluation(field, data):
 @pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
 def test_shift_matches_horner_composition(field):
     """Coefficient lists against f(x + alpha) by Horner's rule, for alpha = 0,
-    the zero and the constant polynomials, and degrees up to 40."""
+    the zero and the constant polynomials, and degrees up to 40.  With g the
+    f before: -f == 0 - f, (f - g) + g == f, and f - g adds the `ext_neg`
+    image of g."""
     rng = random.Random(field.q)
     cases = [(0, [])] + [(d, None) for d in (0, 0, 1, 2, 3, 7, 16, 40, 40)]
+    g = Polynomial(field, [])
     for d, coeffs in cases:
         if coeffs is None:
             coeffs = [rng.randrange(field.q) for _ in range(d)]
             coeffs.append(rng.randrange(1, field.q))
         f = Polynomial(field, coeffs)
+        assert -f == 0 - f and (f - g) + g == f
+        assert f - g == f + Polynomial(field, [oracles.ext_neg(c.val, field.p) for c in g.coeffs])
+        g = f
         for a in sorted({0, 1, field.q - 1, rng.randrange(field.q)}):
             alpha = field.element(a)
             want = oracles.compose(f, Polynomial(field, [alpha, 1]))

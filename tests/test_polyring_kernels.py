@@ -496,7 +496,8 @@ def test_addition_table_gate(count_calls):
     """The gate is q**2 <= TABLE_LIMIT: GF(3**5) has an addition table and
     its kernels make no field call; GF(3**6) and GF(17**2) have none, and
     theirs add through Field.add_raw.  Characteristic 2, prime fields and
-    untabulated fields have no addition table."""
+    untabulated fields have no addition table.  Past the gate neg_raw is
+    one mul_raw by p - 1, on the exp/log tables."""
     fields = [GF(p, m) for p, m in TABLE_FIELDS + [(3, 6), (17, 2), (5, 4), (3, 10)]]
     names = ("add_raw", "sub_raw", "neg_raw", "mul_raw", "inv_raw", "pow_raw")
     calls = {name: count_calls(name, type(fields[0])) for name in names}
@@ -511,6 +512,11 @@ def test_addition_table_gate(count_calls):
             assert calls["add_raw"], K
     for K in (GF(3), GF(251), GF(2, 8), GF(3, 11)):
         assert K._add is None and _add_tables(K) is None
+    for K in (GF(3, 6), GF(3, 10)):
+        calls["mul_raw"].clear()
+        xs = range(0, K.q, 97)
+        assert [K.neg_raw(x) for x in xs] == [oracles.ext_neg(x, 3) for x in xs]
+        assert calls["mul_raw"] == [(K, x, 2) for x in xs]
 
 
 def ext_pairs(rng, q, omul, top):
